@@ -67,6 +67,13 @@ def _parse_triple(text: str) -> np.ndarray:
         raise _CliError(f"bad coordinate triple {text!r}: {exc}") from None
 
 
+def _positive_finite(flag: str, value) -> float:
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise _CliError(f"{flag} must be a positive finite number, got {value!r}")
+    return value
+
+
 def _parse_lines(text: str) -> list[int]:
     try:
         lines = [int(p) for p in text.split(",")]
@@ -366,8 +373,8 @@ def _cmd_lyapunov(args, config, out, fmt) -> int:
         raise _CliError(f"bad chart list {charts_text!r}") from None
     if any(c not in (1, 2, 3) for c in charts):
         raise _CliError("chart indices must be in 1..3")
-    renorm_dt = _resolve(args, config, "renorm_dt", 0.1)
-    t_max = _resolve(args, config, "t_max", 500.0)
+    renorm_dt = _positive_finite("--renorm-dt", _resolve(args, config, "renorm_dt", 0.1))
+    t_max = _positive_finite("--t-max", _resolve(args, config, "t_max", 500.0))
     table = experiments.lyapunov_exponent_table(lines=lines, charts=charts,
                                                 renorm_dt=renorm_dt, t_max=t_max)
     rows = ["line,chart,lambda1,lambda2,lambda3,t_used,converged"]

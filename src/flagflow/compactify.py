@@ -79,6 +79,10 @@ _Z3_DIRECT_FLOOR = 1e-120
 class PolyField3:
     """Polynomial vector field on R^3: point evaluator, Jacobian, degree.
 
+    ``func`` must accept both a 3-vector and an (N, 3) array of points,
+    evaluated row by row; the equator census calls it on all grid seeds
+    at once.  ``jac`` is only called on single 3-vectors.
+
     ``homogeneous=True`` asserts that every component is homogeneous of
     exactly the stated degree; chart algebra then simplifies to exact
     closed forms (z3^d * P(w/z3) == P(w)) with no extraction step.
@@ -313,23 +317,24 @@ def equator_field(f: PolyField3, chart: int, z1: float, z2: float) -> np.ndarray
     return g[:2]
 
 
-def _equator_jacobian(f: PolyField3, chart: int, z1: float, z2: float) -> np.ndarray:
-    return compactified_jacobian(f, chart, (z1, z2, 0.0))[:2, :2]
+# the Newton search keeps several (grid^2, 2) float arrays alive; 512 bounds
+# them at a few MB each
+MAX_GRID_RESOLUTION = 512
 
 
 @dataclass(frozen=True)
 class SearchConfig:
     """Parameters of the seeded Newton search for equator equilibria."""
 
-    grid_resolution: int = 48
+    grid_resolution: int = 48  # seeds per axis, in [32, MAX_GRID_RESOLUTION]
     seed_box: float = 8.0
     newton_tol: float = 1e-12
     dedupe_radius: float = 1e-6
     max_newton_iter: int = 40
 
     def __post_init__(self):
-        if self.grid_resolution < 32:
-            raise ValueError("grid_resolution must be at least 32")
+        if not 32 <= self.grid_resolution <= MAX_GRID_RESOLUTION:
+            raise ValueError(f"grid_resolution must lie in [32, {MAX_GRID_RESOLUTION}]")
         if not (self.seed_box > 0 and self.newton_tol > 0 and self.dedupe_radius > 0):
             raise ValueError("seed_box, newton_tol and dedupe_radius must be positive")
 
@@ -349,43 +354,8 @@ class InfinityEquilibrium:
         return float(np.linalg.norm(equator_field(f, self.chart, self.z[0], self.z[1])))
 
 
-def _newton_root(f: PolyField3, chart: int, seed, cfg: SearchConfig):
-    z = np.array(seed, dtype=float)
-    escape = 10.0 * cfg.seed_box
-    for _ in range(cfg.max_newton_iter):
-        F = equator_field(f, chart, z[0], z[1])
-        if not np.all(np.isfinite(F)):
-            return None
-        J = _equator_jacobian(f, chart, z[0], z[1])
-        try:
-            step = np.linalg.solve(J, -F)
-        except np.linalg.LinAlgError:
-            return None
-        z = z + step
-        if not np.all(np.isfinite(z)) or np.max(np.abs(z)) > escape:
-            return None
-        if np.linalg.norm(step) < 1e-14 * (1.0 + np.linalg.norm(z)):
-            break
-    if np.linalg.norm(equator_field(f, chart, z[0], z[1])) < cfg.newton_tol:
-        return z
-    return None
-
-
-def _supports_batch(f: PolyField3) -> bool:
-    """True when f.func evaluates (N, 3) arrays row-wise."""
-    probe = np.array([[0.3, -1.2, 2.1], [1.7, 0.4, -0.9]])
-    try:
-        out = np.asarray(f.func(probe), dtype=float)
-    except Exception:
-        return False
-    if out.shape != (2, 3):
-        return False
-    rows = np.array([f.func(probe[0]), f.func(probe[1])], dtype=float)
-    return bool(np.allclose(out, rows, rtol=1e-12, atol=1e-12))
-
-
 def _batch_equator_field(f: PolyField3, chart: int, pts: np.ndarray) -> np.ndarray:
-    """Equator system at many (z1, z2) points at once (broadcasting fields only)."""
+    """Equator system at many (z1, z2) points at once."""
     slot, a, b = _chart_idx(chart)
     d = f.degree
     w = np.empty((pts.shape[0], 3))
@@ -406,6 +376,25 @@ def _batch_equator_field(f: PolyField3, chart: int, pts: np.ndarray) -> np.ndarr
     )
 
 
+def _collect_roots(f: PolyField3, chart: int, candidates: np.ndarray,
+                   roots: list[np.ndarray], cfg: SearchConfig) -> None:
+    """Append the new distinct roots among settled Newton ``candidates`` to ``roots``.
+
+    Same rule as visiting the candidates in order and keeping each one that
+    passes the residual test and lies at least the dedupe radius from every
+    root kept so far: the first settled seed of each cluster wins.
+    """
+    radius = max(cfg.dedupe_radius, 1e-9)
+    res = np.linalg.norm(_batch_equator_field(f, chart, candidates), axis=1)
+    cand = candidates[res < cfg.newton_tol]
+    if roots and len(cand):
+        dist = np.linalg.norm(cand[:, None, :] - np.array(roots)[None, :, :], axis=2)
+        cand = cand[np.all(dist >= radius, axis=1)]
+    while len(cand):
+        roots.append(cand[0])
+        cand = cand[np.linalg.norm(cand - cand[0], axis=1) >= radius]
+
+
 def _batch_newton_roots(f: PolyField3, chart: int, seeds: np.ndarray,
                         cfg: SearchConfig) -> list[np.ndarray]:
     """Simultaneous damped Newton iteration over all grid seeds."""
@@ -414,13 +403,6 @@ def _batch_newton_roots(f: PolyField3, chart: int, seeds: np.ndarray,
     escape = 10.0 * cfg.seed_box
     roots: list[np.ndarray] = []
     fd_h = 1e-6
-
-    def collect(candidates: np.ndarray) -> None:
-        for z in candidates:
-            res = float(np.linalg.norm(_batch_equator_field(f, chart, z[None, :])[0]))
-            if res < cfg.newton_tol:
-                if not any(np.linalg.norm(z - r) < max(cfg.dedupe_radius, 1e-9) for r in roots):
-                    roots.append(z)
 
     for _ in range(cfg.max_newton_iter):
         if len(alive) == 0:
@@ -444,7 +426,7 @@ def _batch_newton_roots(f: PolyField3, chart: int, seeds: np.ndarray,
         finite = np.all(np.isfinite(new), axis=1) & (np.max(np.abs(new), axis=1) <= escape)
         settled = finite & (step < 1e-12 * (1.0 + np.linalg.norm(cur, axis=1)))
         pts[alive[finite]] = new[finite]
-        collect(new[settled])
+        _collect_roots(f, chart, new[settled], roots, cfg)
         alive = alive[finite & ~settled]
     return roots
 
@@ -453,25 +435,14 @@ def chart_equator_roots(f: PolyField3, chart: int, cfg: SearchConfig | None = No
     """Distinct equator roots (z1, z2) of one chart, from a seeded grid search.
 
     Non-convergent seeds are discarded silently; an empty list signals a
-    grid too coarse for the field at hand.  Fields whose evaluator
-    broadcasts over (N, 3) arrays are searched with a vectorized Newton
-    iteration; others fall back to a per-seed loop.
+    grid too coarse for the field at hand.  All grid seeds run through one
+    vectorized Newton iteration.
     """
     cfg = cfg or SearchConfig()
     lin = np.linspace(-cfg.seed_box, cfg.seed_box, cfg.grid_resolution)
-    if _supports_batch(f):
-        g1, g2 = np.meshgrid(lin, lin, indexing="ij")
-        seeds = np.column_stack([g1.ravel(), g2.ravel()])
-        roots = _batch_newton_roots(f, chart, seeds, cfg)
-    else:
-        roots = []
-        for s1 in lin:
-            for s2 in lin:
-                z = _newton_root(f, chart, (s1, s2), cfg)
-                if z is None:
-                    continue
-                if not any(np.linalg.norm(z - r) < max(cfg.dedupe_radius, 1e-9) for r in roots):
-                    roots.append(z)
+    g1, g2 = np.meshgrid(lin, lin, indexing="ij")
+    seeds = np.column_stack([g1.ravel(), g2.ravel()])
+    roots = _batch_newton_roots(f, chart, seeds, cfg)
     roots.sort(key=lambda r: (round(r[0], 9), round(r[1], 9)))
     return roots
 

@@ -419,8 +419,8 @@ def lyapunov_spectrum(field, x0, cfg: IntegratorConfig, renorm_dt: float, *,
     sup-norm ball, or collapses the step size) before convergence, the
     partial averages are returned with ``converged=False``.
     """
-    if renorm_dt <= 0:
-        raise ValueError("renorm_dt must be positive")
+    if not (math.isfinite(renorm_dt) and renorm_dt > 0):
+        raise ValueError("renorm_dt must be positive and finite")
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
     jac = jacobian if jacobian is not None else (lambda x: _fd_jacobian(field, x))
@@ -439,6 +439,7 @@ def lyapunov_spectrum(field, x0, cfg: IntegratorConfig, renorm_dt: float, *,
     sums = np.zeros(3)
     t_acc = 0.0
     history: list[tuple[float, np.ndarray]] = []
+    n_past = 0
     max_defect = 0.0
     converged = False
     note = ""
@@ -474,11 +475,16 @@ def lyapunov_spectrum(field, x0, cfg: IntegratorConfig, renorm_dt: float, *,
             running = np.sort(sums / t_acc)[::-1]
             history.append((t_acc, running))
             if t_acc >= min_time:
+                # history times increase, so the entries at or before the
+                # cutoff form a prefix whose end only moves forward
                 cutoff = 0.75 * t_acc
-                past = [h for h in history if h[0] <= cutoff]
-                if past and float(np.max(np.abs(past[-1][1] - running))) < convergence_tol:
-                    converged = True
-                    break
+                while n_past < len(history) and history[n_past][0] <= cutoff:
+                    n_past += 1
+                if n_past:
+                    drift = float(np.max(np.abs(history[n_past - 1][1] - running)))
+                    if drift < convergence_tol:
+                        converged = True
+                        break
     except _StepCollapse as exc:
         note = f"base trajectory diverged: {exc}"
 

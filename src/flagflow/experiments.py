@@ -83,33 +83,58 @@ def _octant_grid(resolution: int) -> np.ndarray:
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
-def _polish_octant_minimum(d: np.ndarray) -> float:
-    """Projected-gradient descent of |poly_rhs|^2 on the octant sphere patch."""
-    d = d / np.linalg.norm(d)
-    f = float(poly_rhs(d) @ poly_rhs(d))
+def _row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # row-wise u_i . v_i through the same BLAS dot as a 1-D ``u_i @ v_i``
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
+def _row_norm(u: np.ndarray) -> np.ndarray:
+    return np.sqrt(_row_dot(u, u))
+
+
+def _polish_octant_minima(d: np.ndarray) -> np.ndarray:
+    """Projected-gradient descent of |poly_rhs|^2 on the octant sphere patch.
+
+    Runs one descent per row of ``d``, all rows at once: each row keeps its
+    own backtracking step and stops on its own when its projected gradient
+    vanishes or its line search finds no decrease.  Returns the minimum
+    |poly_rhs| reached by each row.
+    """
+    d = d / _row_norm(d)[:, None]
+    p = poly_rhs(d)
+    f = _row_dot(p, p)
+    active = np.arange(len(d))
     for _ in range(200):
-        p = poly_rhs(d)
-        g = 2.0 * poly_jacobian(d).T @ p
-        g_t = g - (g @ d) * d
-        gnorm = float(np.linalg.norm(g_t))
-        if gnorm < 1e-12:
+        if active.size == 0:
             break
+        da = d[active]
+        p = poly_rhs(da)
+        g = 2.0 * (np.swapaxes(poly_jacobian(da), 1, 2) @ p[:, :, None])[:, :, 0]
+        g_t = g - _row_dot(g, da)[:, None] * da
+        gnorm = _row_norm(g_t)
+        moving = ~(gnorm < 1e-12)
+        active, da, g_t, gnorm = active[moving], da[moving], g_t[moving], gnorm[moving]
         alpha = 0.1 / (1.0 + gnorm)
-        improved = False
+        searching = np.ones(active.size, dtype=bool)
         for _ in range(40):
-            cand = np.clip(d - alpha * g_t, 0.0, None)
-            norm = float(np.linalg.norm(cand))
-            if norm > 0.0:
-                cand = cand / norm
-                fc = float(poly_rhs(cand) @ poly_rhs(cand))
-                if fc < f - 1e-18:
-                    d, f = cand, fc
-                    improved = True
-                    break
-            alpha *= 0.5
-        if not improved:
-            break
-    return math.sqrt(f)
+            rows = np.flatnonzero(searching)
+            if rows.size == 0:
+                break
+            cand = np.clip(da[rows] - alpha[rows, None] * g_t[rows], 0.0, None)
+            norm = _row_norm(cand)
+            pos = norm > 0.0
+            rows = rows[pos]
+            cand = cand[pos] / norm[pos, None]
+            pc = poly_rhs(cand)
+            fc = _row_dot(pc, pc)
+            better = fc < f[active[rows]] - 1e-18
+            hit = rows[better]
+            d[active[hit]] = cand[better]
+            f[active[hit]] = fc[better]
+            searching[hit] = False
+            alpha[searching] *= 0.5
+        active = active[~searching]
+    return np.sqrt(f)
 
 
 def no_interior_equilibria_scan(resolution: int) -> float:
@@ -127,9 +152,7 @@ def no_interior_equilibria_scan(resolution: int) -> float:
     norms = np.linalg.norm(poly_rhs(dirs), axis=1)
     best = float(np.min(norms))
     order = np.argsort(norms, kind="stable")[:40]
-    for idx in order:
-        best = min(best, _polish_octant_minimum(dirs[idx]))
-    return best
+    return min(best, float(np.min(_polish_octant_minima(dirs[order]))))
 
 
 class BasinSample(NamedTuple):

@@ -143,27 +143,24 @@ def poly_rhs(x) -> np.ndarray:
     )
 
 
-def poly_rhs_scalar(x1: float, x2: float, x3: float) -> tuple[float, float, float]:
-    """Allocation-free variant of :func:`poly_rhs` for hot loops."""
-    return (
-        _poly_component(x1, x2, x3),
-        _poly_component(x2, x1, x3),
-        _poly_component(x3, x1, x2),
-    )
-
-
 def poly_jacobian(x) -> np.ndarray:
-    """Analytic 3x3 Jacobian of :func:`poly_rhs` at a point."""
-    a, b, c = np.asarray(x, dtype=float).tolist()
+    """Analytic 3x3 Jacobian of :func:`poly_rhs` at a point.
+
+    Accepts a single 3-vector or an (..., 3) array, giving (..., 3, 3).
+    """
+    x = np.asarray(x, dtype=float)
+    batched = x.ndim > 1
+    a, b, c = np.moveaxis(x, -1, 0) if batched else x.tolist()
     a2, b2, c2 = 2.0 * a, 2.0 * b, 2.0 * c
     a6, b6, c6 = 6.0 * a, 6.0 * b, 6.0 * c
-    return np.array(
+    jac = np.array(
         [
             [a2, c6 - b2, b6 - c2],
             [c6 - a2, b2, a6 - c2],
             [b6 - a2, a6 - b2, c2],
         ]
     )
+    return np.ascontiguousarray(np.moveaxis(jac, (0, 1), (-2, -1))) if batched else jac
 
 
 def reparam_check(m) -> float:

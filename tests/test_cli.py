@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import xml.dom.minidom
 
 import numpy as np
@@ -6,9 +10,20 @@ import pytest
 
 from flagflow.cli import run
 
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
 
 def read(path):
     return path.read_bytes()
+
+
+def run_cli(argv):
+    """Run the CLI in a fresh interpreter, capturing its exit code and stderr."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-m", "flagflow.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
 
 
 class TestRicciCommand:
@@ -100,6 +115,12 @@ class TestInfinityCommand:
     def test_grid_validation(self):
         assert run(["infinity", "--grid", "8"]) == 1
 
+    def test_huge_grid_rejected_before_allocating(self):
+        proc = run_cli(["infinity", "--grid", "100000000"])
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("flagflow: error: ")
+
 
 class TestLyapunovCommand:
     def test_converged_line_csv(self, tmp_path):
@@ -122,6 +143,17 @@ class TestLyapunovCommand:
 
     def test_line_validation(self):
         assert run(["lyapunov", "--lines", "5"]) == 1
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--renorm-dt", "0"), ("--renorm-dt", "nan"),
+        ("--t-max", "-1"), ("--t-max", "nan"), ("--t-max", "inf"),
+    ])
+    def test_rejects_nonpositive_or_nonfinite_times(self, flag, value):
+        proc = run_cli(["lyapunov", "--lines", "2", flag, value])
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == [proc.stderr.strip()]
+        assert proc.stderr.startswith("flagflow: error: ")
 
 
 class TestVerifyCommand:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from flagflow import compactify
 from flagflow.compactify import (
+    MAX_GRID_RESOLUTION,
     ChartPoint,
     PolyField3,
     SearchConfig,
@@ -268,10 +270,49 @@ class TestEquatorCensus:
             ["attractor"] * 3 + ["repeller"] * 3)
 
 
+def sequential_collect(f, chart, candidates, roots, cfg):
+    """Reference root collection: one candidate at a time, first of each cluster wins."""
+    for z in candidates:
+        res = float(np.linalg.norm(compactify._batch_equator_field(f, chart, z[None, :])[0]))
+        if res < cfg.newton_tol:
+            if not any(np.linalg.norm(z - r) < max(cfg.dedupe_radius, 1e-9) for r in roots):
+                roots.append(z)
+
+
+class TestRootCollection:
+    @pytest.mark.parametrize("grid", [48, 96])
+    @pytest.mark.parametrize("chart", [1, 2, 3])
+    def test_matches_sequential_reference_bitwise(self, field, monkeypatch, chart, grid):
+        cfg = SearchConfig(grid_resolution=grid)
+        batched = chart_equator_roots(field, chart, cfg)
+        monkeypatch.setattr(compactify, "_collect_roots", sequential_collect)
+        reference = chart_equator_roots(field, chart, cfg)
+        assert [r.tobytes() for r in batched] == [r.tobytes() for r in reference]
+
+    def test_clusters_and_known_roots(self, field):
+        # candidates spaced 0.6 radius apart along a line, shuffled among
+        # off-root points: chains, ties to earlier roots and residual misses
+        cfg = SearchConfig(newton_tol=1e-3, dedupe_radius=1e-4)
+        rng = np.random.default_rng(11)
+        centres = chart_equator_roots(field, 1)
+        steps = 0.6e-4 * np.arange(4)[:, None] * np.array([0.6, 0.8])
+        near = np.concatenate([c + steps for c in centres])
+        far = rng.uniform(-3.0, 3.0, size=(20, 2))
+        candidates = rng.permutation(np.concatenate([near, far]))
+        for known in ([], [centres[2]]):
+            got, want = list(known), list(known)
+            compactify._collect_roots(field, 1, candidates, got, cfg)
+            sequential_collect(field, 1, candidates, want, cfg)
+            assert len(want) > len(centres) - len(known)
+            assert [r.tobytes() for r in got] == [r.tobytes() for r in want]
+
+
 class TestSearchConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             SearchConfig(grid_resolution=16)
+        with pytest.raises(ValueError):
+            SearchConfig(grid_resolution=MAX_GRID_RESOLUTION + 1)
         with pytest.raises(ValueError):
             SearchConfig(seed_box=-1.0)
 

@@ -3,20 +3,68 @@ import math
 import numpy as np
 import pytest
 
+from flagflow import experiments
 from flagflow.experiments import (
     classify_limit,
     cylinder_basin,
     lyapunov_exponent_table,
     no_interior_equilibria_scan,
 )
-from flagflow.model import einstein_residual, invariant_directions, line_direction, poly_rhs
+from flagflow.model import (
+    einstein_residual,
+    invariant_directions,
+    line_direction,
+    poly_jacobian,
+    poly_rhs,
+)
 
 # frozen from the resolution-400 grid + descent oracle; the minimum sits on
 # an interior direction of the (1, t, 1) family near t ~ 6.3
 OCTANT_MIN_BASELINE = 1.049885949
 
 
+def sequential_polish(d):
+    """Reference octant polish: one projected-gradient descent for one start."""
+    d = d / np.linalg.norm(d)
+    f = float(poly_rhs(d) @ poly_rhs(d))
+    for _ in range(200):
+        p = poly_rhs(d)
+        g = 2.0 * poly_jacobian(d).T @ p
+        g_t = g - (g @ d) * d
+        gnorm = float(np.linalg.norm(g_t))
+        if gnorm < 1e-12:
+            break
+        alpha = 0.1 / (1.0 + gnorm)
+        improved = False
+        for _ in range(40):
+            cand = np.clip(d - alpha * g_t, 0.0, None)
+            norm = float(np.linalg.norm(cand))
+            if norm > 0.0:
+                cand = cand / norm
+                fc = float(poly_rhs(cand) @ poly_rhs(cand))
+                if fc < f - 1e-18:
+                    d, f = cand, fc
+                    improved = True
+                    break
+            alpha *= 0.5
+        if not improved:
+            break
+    return math.sqrt(f)
+
+
 class TestNoInteriorEquilibriaScan:
+    @pytest.mark.parametrize("resolution", [200, 400])
+    def test_batched_polish_matches_sequential_reference(self, resolution):
+        dirs = experiments._octant_grid(resolution)
+        order = np.argsort(np.linalg.norm(poly_rhs(dirs), axis=1), kind="stable")[:40]
+        batched = experiments._polish_octant_minima(dirs[order])
+        reference = [sequential_polish(dirs[i]) for i in order]
+        # the batch takes every dot product through the same BLAS calls as
+        # the reference, so the minima agree bit for bit; a 1e-12 tolerance
+        # would miss a changed line search, which moves them by an ulp
+        assert batched.tolist() == reference
+
+
     def test_spot_value_diagonal(self):
         d = np.ones(3) / math.sqrt(3.0)
         assert np.linalg.norm(poly_rhs(d)) == pytest.approx(5.0 / math.sqrt(3.0), abs=1e-12)
