@@ -35,18 +35,16 @@ print("rescaling identity defect  :", reparam_check((0.7, 1.9, 3.2)))
 # closed-form solutions: the metric flow collapses as sqrt(1 - 5t/3) and
 # the quadratic flow blows up as 1/(1 - 5t).
 
-from flagflow import IntegratorConfig, integrate, poly_field, ricci_field
+from flagflow import IntegratorConfig, integrate_with_events, ricci_field
 
-tr = integrate(ricci_field(), (1.0, 1.0, 1.0), IntegratorConfig(t_end=0.3))
+tr = integrate_with_events(ricci_field(), (1.0, 1.0, 1.0), IntegratorConfig(t_end=0.3))
 print("\nmetric flow at t=0.3   :", tr.final_state[0], " closed form:", np.sqrt(1 - 0.5))
-tr = integrate(poly_field(), (1.0, 1.0, 1.0), IntegratorConfig(t_end=0.1))
+tr = integrate_with_events(poly_rhs, (1.0, 1.0, 1.0), IntegratorConfig(t_end=0.1))
 print("quadratic flow at t=0.1:", tr.final_state[0], " closed form:", 1 / (1 - 0.5))
 
 # Pushed past its blow-up time the quadratic flow terminates cleanly, either
 # by a blow-up event or by step-size collapse:
 
-from flagflow import integrate_with_events
-
-tr = integrate_with_events(poly_field(), (1.0, 1.0, 1.0),
+tr = integrate_with_events(poly_rhs, (1.0, 1.0, 1.0),
                            IntegratorConfig(t_end=1.0), blow_up_radius=1e6)
 print("\nblow-up event at t =", tr.final_time, "(diagonal blow-up time is 0.2)")

@@ -9,11 +9,10 @@
 import numpy as np
 
 from flagflow import (
-    ChartPoint,
     ball_projection,
     ball_unprojection,
     chart_equator_roots,
-    compactified_field,
+    compactified_field_array,
     find_infinity_equilibria,
     model_poly_field,
 )
@@ -29,7 +28,7 @@ print("ball image of (1,1,1):", u, " back:", ball_unprojection(u))
 
 field = model_poly_field()
 print("\nchart-1 field at the diagonal equator point:",
-      compactified_field(field, ChartPoint(1, 1.0, 1.0, 0.0)))
+      compactified_field_array(field, 1, (1.0, 1.0, 0.0)))
 
 # That zero is no accident: the diagonal direction is an equilibrium at
 # infinity.  A seeded Newton search per chart finds every equator root;

@@ -32,7 +32,7 @@ from .compactify import (
     chart_equator_roots,
     chart_point_to_sphere,
     classify_equilibrium,
-    compactified_field,
+    compactified_field_array,
     compactified_jacobian,
     find_infinity_equilibria,
     model_poly_field,
@@ -42,13 +42,10 @@ from .dynamics import (
     IntegratorConfig,
     LyapunovSpectrum,
     Trajectory,
-    distance_to_line,
     distance_to_line_ball,
-    integrate,
     integrate_compactified,
     integrate_with_events,
     lyapunov_spectrum,
-    poly_field,
     ricci_field,
 )
 from .experiments import (
@@ -85,7 +82,7 @@ __all__ = [
     "sphere_from_ambient",
     "chart_coords",
     "chart_point_to_sphere",
-    "compactified_field",
+    "compactified_field_array",
     "compactified_jacobian",
     "chart_equator_roots",
     "classify_equilibrium",
@@ -96,14 +93,11 @@ __all__ = [
     "IntegratorConfig",
     "Trajectory",
     "LyapunovSpectrum",
-    "integrate",
     "integrate_with_events",
     "integrate_compactified",
     "lyapunov_spectrum",
-    "distance_to_line",
     "distance_to_line_ball",
     "ricci_field",
-    "poly_field",
     # experiments
     "no_interior_equilibria_scan",
     "cylinder_basin",

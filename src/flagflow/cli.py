@@ -25,10 +25,10 @@ import numpy as np
 from . import compactify as cpt
 from . import experiments, model
 from .dynamics import (
+    MAX_LYAPUNOV_SEGMENTS,
     IntegratorConfig,
     integrate_compactified,
     integrate_with_events,
-    poly_field,
     ricci_field,
 )
 from .svgplot import ball_portrait_svg
@@ -62,15 +62,25 @@ def _parse_triple(text: str) -> np.ndarray:
     if len(parts) != 3:
         raise _CliError(f"expected three comma-separated decimals, got {text!r}")
     try:
-        return np.array([float(p) for p in parts])
+        triple = np.array([float(p) for p in parts])
     except ValueError as exc:
         raise _CliError(f"bad coordinate triple {text!r}: {exc}") from None
+    if not np.all(np.isfinite(triple)):
+        raise _CliError(f"coordinates must be finite, got {text!r}")
+    return triple
 
 
 def _positive_finite(flag: str, value) -> float:
     value = float(value)
     if not (math.isfinite(value) and value > 0.0):
         raise _CliError(f"{flag} must be a positive finite number, got {value!r}")
+    return value
+
+
+def _nonnegative_finite(flag: str, value) -> float:
+    value = float(value)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise _CliError(f"{flag} must be a non-negative finite number, got {value!r}")
     return value
 
 
@@ -272,6 +282,9 @@ def _cmd_ricci(args, config, out, fmt) -> int:
         r = model.ricci_components(triple)
     except ValueError as exc:
         raise _CliError(str(exc)) from None
+    if not all(math.isfinite(v) for v in r):
+        raise FloatingPointError(f"Ricci components of {metric_text} are not finite: "
+                                 + ",".join(_fmt(v) for v in r))
     if fmt == "json":
         payload = {
             "schema_version": SCHEMA_VERSION,
@@ -325,7 +338,7 @@ def _cmd_integrate(args, config, out, fmt) -> int:
     if compactified:
         traj = integrate_compactified(cpt.model_poly_field(), x0, cfg)
     else:
-        field = ricci_field() if system == "ricci" else poly_field()
+        field = ricci_field() if system == "ricci" else model.poly_rhs
         radius = _resolve(args, config, "blow_up_radius", 1e6)
         traj = integrate_with_events(field, x0, cfg, blow_up_radius=radius)
     _emit(_trajectory_csv(traj), out)
@@ -375,6 +388,9 @@ def _cmd_lyapunov(args, config, out, fmt) -> int:
         raise _CliError("chart indices must be in 1..3")
     renorm_dt = _positive_finite("--renorm-dt", _resolve(args, config, "renorm_dt", 0.1))
     t_max = _positive_finite("--t-max", _resolve(args, config, "t_max", 500.0))
+    if t_max / renorm_dt > MAX_LYAPUNOV_SEGMENTS:
+        raise _CliError(f"--t-max / --renorm-dt must not exceed {MAX_LYAPUNOV_SEGMENTS} "
+                        "renormalisation segments")
     table = experiments.lyapunov_exponent_table(lines=lines, charts=charts,
                                                 renorm_dt=renorm_dt, t_max=t_max)
     rows = ["line,chart,lambda1,lambda2,lambda3,t_used,converged"]
@@ -413,10 +429,16 @@ def _verify_checks(args, config, seed):
     seen = set()
     selected = [s for s in selected if not (s in seen or seen.add(s))]
 
-    tangency_tol = _resolve(args, config, "tangency_tol", 1e-13)
-    einstein_tol = _resolve(args, config, "einstein_tol", 1e-12)
-    reparam_tol = _resolve(args, config, "reparam_tol", 1e-10)
+    tangency_tol = _nonnegative_finite("--tangency-tol",
+                                       _resolve(args, config, "tangency_tol", 1e-13))
+    einstein_tol = _nonnegative_finite("--einstein-tol",
+                                       _resolve(args, config, "einstein_tol", 1e-12))
+    reparam_tol = _nonnegative_finite("--reparam-tol",
+                                      _resolve(args, config, "reparam_tol", 1e-10))
     resolution = _resolve(args, config, "scan_resolution", 400)
+    lo, hi = experiments.MIN_SCAN_RESOLUTION, experiments.MAX_SCAN_RESOLUTION
+    if not lo <= resolution <= hi:
+        raise _CliError(f"--scan-resolution must lie in [{lo}, {hi}], got {resolution}")
 
     results = []
     dirs = model.invariant_directions()
@@ -504,10 +526,13 @@ def _cmd_plot(args, config, out, fmt) -> int:
         starts.append(np.array([0.9, 2.4, 0.7]))
     else:
         starts = [_parse_triple(t) for t in x0_texts]
-    t_end = _resolve(args, config, "t_end", 30.0)
+    try:
+        cfg = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-11, max_step=0.25,
+                               t_end=_resolve(args, config, "t_end", 30.0))
+    except ValueError as exc:
+        raise _CliError(str(exc)) from None
     field = cpt.model_poly_field()
     eqs = cpt.find_infinity_equilibria(field)
-    cfg = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-11, max_step=0.25, t_end=t_end)
     targets = [e.direction for e in eqs]
     trajectories = []
     for x0 in starts:

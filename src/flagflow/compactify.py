@@ -1,4 +1,4 @@
-"""Poincare compactification of polynomial vector fields on R^3.
+"""Poincare compactification of homogeneous polynomial vector fields on R^3.
 
 R^3 is identified with the open northern hemisphere of S^3 through the
 central projection x -> (x, 1)/sqrt(1 + |x|^2); the equator y4 = 0 is the
@@ -11,17 +11,17 @@ Three affine charts cover the sphere away from y1 = y2 = y3 = 0:
 * chart 2:  z = (y1/y2, y3/y2, y4/y2)
 * chart 3:  z = (y1/y3, y2/y3, y4/y3)
 
-In each chart the compactified field of a degree-d polynomial field
-(P1, P2, P3) is, after clearing the z3^d denominator and dropping a
-positive conformal factor,
+For a field P = (P1, P2, P3) homogeneous of degree d, clearing the z3^d
+denominator gives z3^d * P(w/z3) = P(w), where w carries 1 in the chart
+slot and (z1, z2) in the other two.  After dropping a positive conformal
+factor the compactified field is
 
-    chart 1:  (-z1*Q1 + Q2, -z2*Q1 + Q3, -z3*Q1),
+    chart 1:  (-z1*P1(w) + P2(w), -z2*P1(w) + P3(w), -z3*P1(w)),
 
-with cyclic analogues, where Q(z) = z3^d * P(w/z3) and w carries 1 in the
-chart slot.  Q extends polynomially to the equator z3 = 0, where it equals
-the top-degree homogeneous part of P; the z3 component vanishes there, so
-the equator is invariant.  Equilibria on the equator, their Jacobians and
-their stability types are found by a seeded Newton search per chart.
+with cyclic analogues.  It does not depend on z3 except through the last
+component, which vanishes at z3 = 0, so the equator is invariant.
+Equilibria on the equator, their Jacobians and their stability types are
+found by a seeded Newton search per chart.
 
 Points on the equator are recorded as *signed* ambient directions, one per
 covering chart (the chart-slot component positive).  A direction pair
@@ -52,7 +52,6 @@ __all__ = [
     "chart_point_to_sphere",
     "ball_from_chart",
     "best_chart",
-    "compactified_field",
     "compactified_field_array",
     "compactified_jacobian",
     "equator_field",
@@ -70,28 +69,22 @@ CHART_NAMES = {1: "U1", 2: "U2", 3: "U3"}
 # the first two chart velocities
 _CHART_IDX = {1: (0, 1, 2), 2: (1, 0, 2), 3: (2, 0, 1)}
 
-# below this |z3| the direct w/z3 substitution risks overflow; switch to
-# the homogeneous-part expansion (exact for polynomial fields)
-_Z3_DIRECT_FLOOR = 1e-120
-
 
 @dataclass(frozen=True)
 class PolyField3:
-    """Polynomial vector field on R^3: point evaluator, Jacobian, degree.
+    """Homogeneous polynomial vector field on R^3: evaluator, Jacobian, degree.
 
-    ``func`` must accept both a 3-vector and an (N, 3) array of points,
-    evaluated row by row; the equator census calls it on all grid seeds
-    at once.  ``jac`` is only called on single 3-vectors.
-
-    ``homogeneous=True`` asserts that every component is homogeneous of
-    exactly the stated degree; chart algebra then simplifies to exact
-    closed forms (z3^d * P(w/z3) == P(w)) with no extraction step.
+    Every component must be homogeneous of exactly degree ``degree``; the
+    chart formulas rely on P(t*x) = t^d * P(x).  ``func`` must accept both
+    a 3-vector and an (N, 3) array of points, evaluated row by row, and
+    return a float ndarray of the same shape; the equator census calls it
+    on all grid seeds at once.  ``jac`` is only called on single 3-vectors
+    and returns a 3x3 float ndarray.
     """
 
     func: Callable[[np.ndarray], np.ndarray]
     jac: Callable[[np.ndarray], np.ndarray]
     degree: int
-    homogeneous: bool = False
 
     def __post_init__(self):
         if int(self.degree) < 1:
@@ -100,7 +93,7 @@ class PolyField3:
 
 def model_poly_field() -> PolyField3:
     """The quadratic flag-manifold system as a :class:`PolyField3`."""
-    return PolyField3(func=poly_rhs, jac=poly_jacobian, degree=2, homogeneous=True)
+    return PolyField3(func=poly_rhs, jac=poly_jacobian, degree=2)
 
 
 class ChartPoint(NamedTuple):
@@ -188,66 +181,6 @@ def _chart_w(chart: int, z1: float, z2: float) -> np.ndarray:
     raise AssertionError
 
 
-_VANDER_INV_CACHE: dict[int, np.ndarray] = {}
-
-
-def _vander_inv(n: int) -> np.ndarray:
-    inv = _VANDER_INV_CACHE.get(n)
-    if inv is None:
-        inv = np.linalg.inv(np.vander(_sym_nodes(n), n, increasing=True))
-        _VANDER_INV_CACHE[n] = inv
-    return inv
-
-
-def _hom_value_parts(f: PolyField3, w: np.ndarray) -> np.ndarray:
-    """Homogeneous parts H_0..H_d of f at w, each a 3-vector, via scaling nodes.
-
-    Exact (up to rounding) for genuine polynomial fields: f(t*w) is a
-    degree-d polynomial in t with vector coefficients H_k(w).
-    """
-    d = f.degree
-    nodes = _sym_nodes(d + 1)
-    vals = np.array([f.func(t * w) for t in nodes], dtype=float)
-    return _vander_inv(d + 1) @ vals  # row k = H_k(w)
-
-
-def _hom_jac_parts(f: PolyField3, w: np.ndarray) -> np.ndarray:
-    """Jacobians of the homogeneous parts H_1..H_d of f at w (stacked)."""
-    d = f.degree
-    nodes = _sym_nodes(d)
-    jacs = np.array([f.jac(t * w) for t in nodes], dtype=float).reshape(len(nodes), 9)
-    sol = _vander_inv(d) @ jacs
-    return sol.reshape(d, 3, 3)  # index k-1 -> Jacobian of H_k
-
-
-def _sym_nodes(n: int) -> np.ndarray:
-    # 0, 1, -1, 2, -2, ... for value parts; 1, -1, 2, -2, ... for Jacobians
-    out = []
-    k = 1
-    if n % 2 == 1:
-        out.append(0.0)
-    while len(out) < n:
-        out.extend([float(k), float(-k)])
-        k += 1
-    return np.array(out[:n])
-
-
-def _cleared_rhs(f: PolyField3, chart: int, z1: float, z2: float, z3: float) -> np.ndarray:
-    """Q(z) = z3^d * P(w/z3), extended polynomially through z3 = 0."""
-    w = _chart_w(chart, z1, z2)
-    if f.homogeneous:
-        return np.asarray(f.func(w), dtype=float)
-    d = f.degree
-    if abs(z3) > _Z3_DIRECT_FLOOR:
-        return (z3**d) * np.asarray(f.func(w / z3), dtype=float)
-    parts = _hom_value_parts(f, w)
-    q = parts[d].copy()
-    if z3 != 0.0:
-        for k in range(d - 1, -1, -1):
-            q += z3 ** (d - k) * parts[k]
-    return q
-
-
 def compactified_field_array(f: PolyField3, chart: int, z) -> np.ndarray:
     """Compactified field in a chart, as a function of z = (z1, z2, z3).
 
@@ -260,53 +193,29 @@ def compactified_field_array(f: PolyField3, chart: int, z) -> np.ndarray:
     """
     z1, z2, z3 = np.asarray(z, dtype=float).tolist()
     slot, a, b = _chart_idx(chart)
-    q = _cleared_rhs(f, chart, z1, z2, z3).tolist()
+    q = f.func(_chart_w(chart, z1, z2)).tolist()
     qs = q[slot]
     return np.array([-z1 * qs + q[a], -z2 * qs + q[b], -z3 * qs])
-
-
-def compactified_field(f: PolyField3, p: ChartPoint) -> np.ndarray:
-    """Compactified field at a :class:`ChartPoint`."""
-    return compactified_field_array(f, p.chart, (p.z1, p.z2, p.z3))
 
 
 def compactified_jacobian(f: PolyField3, chart: int, z) -> np.ndarray:
     """Analytic 3x3 Jacobian of :func:`compactified_field_array` in z.
 
-    Assembled from the homogeneous parts of the field, which stays exact
-    down to (and through) the equator; the direct w/z3 substitution would
-    cancel catastrophically in the z3 derivative at small z3.
+    With w the chart point of the ambient space, the first two components
+    depend on (z1, z2) through P(w) and its Jacobian, and only the last
+    component depends on z3; the entries are exact down to the equator.
     """
     z1, z2, z3 = np.asarray(z, dtype=float).tolist()
     slot, a, b = _chart_idx(chart)
     w = _chart_w(chart, z1, z2)
-    d = f.degree
-
-    if f.homogeneous:
-        q = np.asarray(f.func(w), dtype=float)
-        pj = np.asarray(f.jac(w), dtype=float)
-        dq1 = pj[:, a]
-        dq2 = pj[:, b]
-        dq3 = np.zeros(3)
-    else:
-        parts = _hom_value_parts(f, w)
-        jparts = _hom_jac_parts(f, w)
-        powers = np.array([z3 ** (d - k) for k in range(d + 1)])
-        q = powers @ parts
-        dq1 = np.zeros(3)
-        dq2 = np.zeros(3)
-        dq3 = np.zeros(3)
-        for k in range(1, d + 1):
-            dq1 += powers[k] * jparts[k - 1][:, a]
-            dq2 += powers[k] * jparts[k - 1][:, b]
-        for k in range(d):
-            dq3 += (d - k) * (z3 ** (d - k - 1)) * parts[k]
-
+    qs = f.func(w).tolist()[slot]
+    pj = f.jac(w).tolist()
+    js, ja, jb = pj[slot], pj[a], pj[b]
     return np.array(
         [
-            [-q[slot] - z1 * dq1[slot] + dq1[a], -z1 * dq2[slot] + dq2[a], -z1 * dq3[slot] + dq3[a]],
-            [-z2 * dq1[slot] + dq1[b], -q[slot] - z2 * dq2[slot] + dq2[b], -z2 * dq3[slot] + dq3[b]],
-            [-z3 * dq1[slot], -z3 * dq2[slot], -q[slot] - z3 * dq3[slot]],
+            [-qs - z1 * js[a] + ja[a], -z1 * js[b] + ja[b], 0.0],
+            [-z2 * js[a] + jb[a], -qs - z2 * js[b] + jb[b], 0.0],
+            [-z3 * js[a], -z3 * js[b], -qs],
         ]
     )
 
@@ -321,6 +230,11 @@ def equator_field(f: PolyField3, chart: int, z1: float, z2: float) -> np.ndarray
 # them at a few MB each
 MAX_GRID_RESOLUTION = 512
 
+_MAX_NEWTON_ITER = 40
+
+# eigenvalues with |Re| at or below this count as nonhyperbolic
+_HYPER_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -330,13 +244,13 @@ class SearchConfig:
     seed_box: float = 8.0
     newton_tol: float = 1e-12
     dedupe_radius: float = 1e-6
-    max_newton_iter: int = 40
 
     def __post_init__(self):
         if not 32 <= self.grid_resolution <= MAX_GRID_RESOLUTION:
             raise ValueError(f"grid_resolution must lie in [32, {MAX_GRID_RESOLUTION}]")
-        if not (self.seed_box > 0 and self.newton_tol > 0 and self.dedupe_radius > 0):
-            raise ValueError("seed_box, newton_tol and dedupe_radius must be positive")
+        if not all(math.isfinite(v) and v > 0
+                   for v in (self.seed_box, self.newton_tol, self.dedupe_radius)):
+            raise ValueError("seed_box, newton_tol and dedupe_radius must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -357,19 +271,11 @@ class InfinityEquilibrium:
 def _batch_equator_field(f: PolyField3, chart: int, pts: np.ndarray) -> np.ndarray:
     """Equator system at many (z1, z2) points at once."""
     slot, a, b = _chart_idx(chart)
-    d = f.degree
     w = np.empty((pts.shape[0], 3))
     w[:, slot] = 1.0
     w[:, a] = pts[:, 0]
     w[:, b] = pts[:, 1]
-    if f.homogeneous:
-        q = np.asarray(f.func(w), dtype=float)
-    else:
-        top_coeff = _vander_inv(d + 1)[d]
-        q = np.zeros_like(w)
-        for t, c in zip(_sym_nodes(d + 1), top_coeff):
-            if c != 0.0:
-                q += c * np.asarray(f.func(t * w), dtype=float)
+    q = f.func(w)
     return np.stack(
         [-pts[:, 0] * q[:, slot] + q[:, a], -pts[:, 1] * q[:, slot] + q[:, b]],
         axis=-1,
@@ -404,7 +310,7 @@ def _batch_newton_roots(f: PolyField3, chart: int, seeds: np.ndarray,
     roots: list[np.ndarray] = []
     fd_h = 1e-6
 
-    for _ in range(cfg.max_newton_iter):
+    for _ in range(_MAX_NEWTON_ITER):
         if len(alive) == 0:
             break
         cur = pts[alive]
@@ -447,14 +353,13 @@ def chart_equator_roots(f: PolyField3, chart: int, cfg: SearchConfig | None = No
     return roots
 
 
-def classify_equilibrium(f: PolyField3, chart: int, z1: float, z2: float,
-                         hyper_tol: float = 1e-9) -> InfinityEquilibrium:
+def classify_equilibrium(f: PolyField3, chart: int, z1: float, z2: float) -> InfinityEquilibrium:
     """Classify a converged equator root by its chart-field Jacobian spectrum."""
     jac = compactified_jacobian(f, chart, (z1, z2, 0.0))
     eig = np.linalg.eigvals(jac)
     eig = eig[np.lexsort((-eig.imag, -eig.real))]
     re = eig.real
-    if np.any(np.abs(re) <= hyper_tol):
+    if np.any(np.abs(re) <= _HYPER_TOL):
         stability = "nonhyperbolic"
     elif np.all(re < 0.0):
         stability = "attractor"

@@ -11,8 +11,7 @@ dense output.  On top of it:
   automatic chart switching and ball-picture reporting,
 * Lyapunov spectra by co-integrating a tangent frame under the
   variational equations and re-orthonormalizing it on a fixed cadence,
-* distance from a state to one of the four invariant rays, measured in
-  ball coordinates.
+* distance from a ball point to one of the four invariant rays.
 
 All routines are deterministic for fixed inputs and configuration.
 """
@@ -26,20 +25,17 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import compactify as cpt
-from .model import line_direction, poly_rhs
+from .model import _ricci_component, line_direction
 
 __all__ = [
     "IntegratorConfig",
     "Trajectory",
     "LyapunovSpectrum",
-    "integrate",
     "integrate_with_events",
     "integrate_compactified",
     "lyapunov_spectrum",
-    "distance_to_line",
     "distance_to_line_ball",
     "ricci_field",
-    "poly_field",
     "TERMINATIONS",
 ]
 
@@ -59,10 +55,10 @@ class IntegratorConfig:
     def __post_init__(self):
         if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise ValueError("tolerances must be positive")
-        if not (0 < self.min_step < self.max_step):
-            raise ValueError("min_step must be positive and smaller than max_step")
-        if not self.t_end > 0:
-            raise ValueError("t_end must be positive")
+        if not (0 < self.min_step < self.max_step and math.isfinite(self.max_step)):
+            raise ValueError("min_step must be positive and smaller than a finite max_step")
+        if not (self.t_end > 0 and math.isfinite(self.t_end)):
+            raise ValueError("t_end must be positive and finite")
 
 
 @dataclass
@@ -205,23 +201,14 @@ def ricci_field() -> Callable[[np.ndarray], np.ndarray]:
     degrade gracefully (step_size_collapse) at the finite-time collapse.
     """
     def rhs(x: np.ndarray) -> np.ndarray:
+        # numpy scalars, so a zero component divides to inf instead of raising
         a, b, c = x
         return np.array([
-            -2.0 * (1.0 / (2.0 * a) + (a / (b * c) - b / (a * c) - c / (a * b)) / 12.0),
-            -2.0 * (1.0 / (2.0 * b) + (b / (a * c) - a / (b * c) - c / (a * b)) / 12.0),
-            -2.0 * (1.0 / (2.0 * c) + (c / (a * b) - a / (c * b) - b / (c * a)) / 12.0),
+            -2.0 * _ricci_component(a, b, c),
+            -2.0 * _ricci_component(b, a, c),
+            -2.0 * _ricci_component(c, a, b),
         ])
     return rhs
-
-
-def poly_field() -> Callable[[np.ndarray], np.ndarray]:
-    """The quadratic polynomial system as an integrable field."""
-    return poly_rhs
-
-
-def integrate(field, x0, cfg: IntegratorConfig) -> Trajectory:
-    """Integrate an autonomous field from x0 to cfg.t_end, no events."""
-    return integrate_with_events(field, x0, cfg)
 
 
 def integrate_with_events(field, x0, cfg: IntegratorConfig, *,
@@ -289,18 +276,21 @@ def _north_ball(chart: int, z: np.ndarray) -> np.ndarray:
     return -u if z[2] < 0 else u
 
 
+# a chart switch needs the new pivot to clear the threshold by this margin
+_SWITCH_HYSTERESIS = 0.05
+
+
 def integrate_compactified(f: cpt.PolyField3, x0, cfg: IntegratorConfig, *,
                            targets: Sequence[np.ndarray] | None = None,
                            convergence_radius: float = 1e-3,
-                           switch_threshold: float = 0.3,
-                           switch_hysteresis: float = 0.05) -> Trajectory:
+                           switch_threshold: float = 0.3) -> Trajectory:
     """Integrate the compactified field from an ambient point x0.
 
     The state lives in one affine chart at a time; the chart is switched
     whenever the magnitude of the current dividing sphere coordinate drops
     below ``switch_threshold`` and another chart clears the threshold plus
-    hysteresis.  The trajectory is reported in ball coordinates, with the
-    chart bookkeeping kept alongside.  When ``targets`` (ball points) are
+    a hysteresis of 0.05.  The trajectory is reported in ball coordinates,
+    with the chart bookkeeping kept alongside.  When ``targets`` (ball points) are
     given, the run stops with ``converged_to_point`` once a full step stays
     within ``convergence_radius`` of one of them.
     """
@@ -357,7 +347,7 @@ def integrate_compactified(f: cpt.PolyField3, x0, cfg: IntegratorConfig, *,
             pivot = abs(float(ysph[chart - 1]))
             if pivot < switch_threshold:
                 cand = cpt.best_chart(ysph)
-                if cand != chart and abs(float(ysph[cand - 1])) >= switch_threshold + switch_hysteresis:
+                if cand != chart and abs(float(ysph[cand - 1])) >= switch_threshold + _SWITCH_HYSTERESIS:
                     chart_log.append((t1, chart, cand))
                     chart = cand
                     z1 = np.array(cpt.chart_coords(ysph, chart)[1:], dtype=float)
@@ -392,43 +382,47 @@ class LyapunovSpectrum:
             raise ValueError("exponents must be sorted in descending order")
 
 
-def _fd_jacobian(field, x: np.ndarray) -> np.ndarray:
-    h = 1e-6 * (1.0 + float(np.max(np.abs(x))))
-    cols = []
-    for j in range(x.size):
-        xp = x.copy(); xp[j] += h
-        xm = x.copy(); xm[j] -= h
-        cols.append((np.asarray(field(xp), float) - np.asarray(field(xm), float)) / (2 * h))
-    return np.column_stack(cols)
+# Benettin convergence: running averages at 0.75*t and t within this
+# componentwise tolerance, checked from this elapsed time on
+_LYAPUNOV_TOL = 1e-3
+_LYAPUNOV_MIN_TIME = 10.0
+
+# sup-norm radius beyond which the base trajectory counts as diverged
+_DIVERGENCE_GUARD = 1e3
+
+# renormalisation segments one spectrum may plan; the default
+# t_max / renorm_dt = 500 / 0.1 plans 5,000
+MAX_LYAPUNOV_SEGMENTS = 100_000
 
 
 def lyapunov_spectrum(field, x0, cfg: IntegratorConfig, renorm_dt: float, *,
-                      jacobian=None,
-                      convergence_tol: float = 1e-3,
-                      min_time: float = 10.0,
-                      divergence_guard: float = 1e3) -> LyapunovSpectrum:
+                      jacobian) -> LyapunovSpectrum:
     """Lyapunov spectrum of the trajectory of ``field`` through x0.
 
     Co-integrates the base state with three tangent vectors under
-    v' = J(x) v, orthonormalizes the frame every ``renorm_dt`` by modified
-    Gram-Schmidt and averages the accumulated log stretch factors over
-    elapsed time.  Convergence is declared once the running averages move
-    less than ``convergence_tol`` componentwise between 0.75*t and t.
+    v' = J(x) v, with J given by ``jacobian``, orthonormalizes the frame
+    every ``renorm_dt`` by modified Gram-Schmidt and averages the
+    accumulated log stretch factors over elapsed time.  Convergence is
+    declared once, after t = 10, the running averages move less than 1e-3
+    componentwise between 0.75*t and t.  At most ``MAX_LYAPUNOV_SEGMENTS``
+    segments of length ``renorm_dt`` may fit in ``cfg.t_end``.
 
-    If the base trajectory diverges (leaves the ``divergence_guard``
-    sup-norm ball, or collapses the step size) before convergence, the
-    partial averages are returned with ``converged=False``.
+    If the base trajectory diverges (leaves the sup-norm ball of radius
+    1e3, or collapses the step size) before convergence, the partial
+    averages are returned with ``converged=False``.
     """
     if not (math.isfinite(renorm_dt) and renorm_dt > 0):
         raise ValueError("renorm_dt must be positive and finite")
+    if cfg.t_end / renorm_dt > MAX_LYAPUNOV_SEGMENTS:
+        raise ValueError(f"cfg.t_end / renorm_dt must not exceed {MAX_LYAPUNOV_SEGMENTS} "
+                         "renormalisation segments")
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
-    jac = jacobian if jacobian is not None else (lambda x: _fd_jacobian(field, x))
 
     def ext_rhs(yext: np.ndarray) -> np.ndarray:
         x = yext[:n]
         frame = yext[n:].reshape(3, n)
-        J = np.asarray(jac(x), dtype=float)
+        J = np.asarray(jacobian(x), dtype=float)
         out = np.empty_like(yext)
         out[:n] = np.asarray(field(x), dtype=float)
         out[n:] = (frame @ J.T).ravel()
@@ -455,7 +449,7 @@ def lyapunov_spectrum(field, x0, cfg: IntegratorConfig, renorm_dt: float, *,
                 stepper.step(renorm_dt)
             state = stepper.y
             base = state[:n]
-            if float(np.max(np.abs(base))) > divergence_guard:
+            if float(np.max(np.abs(base))) > _DIVERGENCE_GUARD:
                 note = "base trajectory left the divergence guard ball"
                 break
             frame = state[n:].reshape(3, n)
@@ -474,7 +468,7 @@ def lyapunov_spectrum(field, x0, cfg: IntegratorConfig, renorm_dt: float, *,
             t_acc += renorm_dt
             running = np.sort(sums / t_acc)[::-1]
             history.append((t_acc, running))
-            if t_acc >= min_time:
+            if t_acc >= _LYAPUNOV_MIN_TIME:
                 # history times increase, so the entries at or before the
                 # cutoff form a prefix whose end only moves forward
                 cutoff = 0.75 * t_acc
@@ -482,7 +476,7 @@ def lyapunov_spectrum(field, x0, cfg: IntegratorConfig, renorm_dt: float, *,
                     n_past += 1
                 if n_past:
                     drift = float(np.max(np.abs(history[n_past - 1][1] - running)))
-                    if drift < convergence_tol:
+                    if drift < _LYAPUNOV_TOL:
                         converged = True
                         break
     except _StepCollapse as exc:
@@ -505,8 +499,3 @@ def distance_to_line_ball(u, line: int) -> float:
     d = line_direction(line)
     s = max(float(u @ d), 0.0)
     return float(np.linalg.norm(u - s * d))
-
-
-def distance_to_line(x, line: int) -> float:
-    """Distance from an ambient state to invariant ray ``line``, in ball coordinates."""
-    return distance_to_line_ball(cpt.ball_projection(np.asarray(x, dtype=float)), line)

@@ -61,6 +61,14 @@ _STOP_RADIUS = 1e-7
 
 _RUN_CFG = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-11, max_step=0.25, t_end=200.0)
 
+# ambient radius of the Lyapunov base point on each ray
+_BASE_RADIUS = 2.0
+
+# octant-scan grids hold about resolution^2 / 2 points; a whole verify run
+# at the upper bound peaks near 150 MB
+MIN_SCAN_RESOLUTION = 50
+MAX_SCAN_RESOLUTION = 1600
+
 
 @functools.lru_cache(maxsize=1)
 def _equilibrium_targets() -> tuple[np.ndarray, ...]:
@@ -146,8 +154,8 @@ def no_interior_equilibria_scan(resolution: int) -> float:
     quadratic system in the closed octant cone, hence the metric flow has
     no fixed point on the open cone.
     """
-    if resolution < 50:
-        raise ValueError("resolution must be at least 50")
+    if not MIN_SCAN_RESOLUTION <= resolution <= MAX_SCAN_RESOLUTION:
+        raise ValueError(f"resolution must lie in [{MIN_SCAN_RESOLUTION}, {MAX_SCAN_RESOLUTION}]")
     dirs = _octant_grid(resolution)
     norms = np.linalg.norm(poly_rhs(dirs), axis=1)
     best = float(np.min(norms))
@@ -218,8 +226,7 @@ def _tube_frame(line: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return d, e1, e2
 
 
-def cylinder_basin(line: int, epsilon: float, delta: float, n: int, seed: int,
-                   cfg: IntegratorConfig | None = None) -> BasinReport:
+def cylinder_basin(line: int, epsilon: float, delta: float, n: int, seed: int) -> BasinReport:
     """Sample the radius-``epsilon`` tube around an invariant ray and integrate.
 
     Launch points sit on the lateral surface of the tube (ball picture),
@@ -233,11 +240,10 @@ def cylinder_basin(line: int, epsilon: float, delta: float, n: int, seed: int,
     """
     if not (0.0 < epsilon <= 0.1):
         raise ValueError("epsilon must lie in (0, 0.1]")
-    if delta < 0.5:
-        raise ValueError("delta must be at least 0.5")
+    if not (math.isfinite(delta) and delta >= 0.5):
+        raise ValueError("delta must be finite and at least 0.5")
     if n < 1:
         raise ValueError("sample count must be at least 1")
-    cfg = cfg or _RUN_CFG
     field = cpt.model_poly_field()
     d, e1, e2 = _tube_frame(line)
     targets = _equilibrium_targets()
@@ -254,7 +260,7 @@ def cylinder_basin(line: int, epsilon: float, delta: float, n: int, seed: int,
         angle = rng.uniform(0.0, 2.0 * math.pi)
         u0 = height * d + epsilon * (math.cos(angle) * e1 + math.sin(angle) * e2)
         x0 = cpt.ball_unprojection(u0)
-        traj = integrate_compactified(field, x0, cfg, targets=targets,
+        traj = integrate_compactified(field, x0, _RUN_CFG, targets=targets,
                                       convergence_radius=_STOP_RADIUS)
         end = traj.final_state
         converged = (traj.termination == "converged_to_point"
@@ -306,24 +312,22 @@ class LyapunovTable:
 def lyapunov_exponent_table(lines: Sequence[int] = (1, 2, 3, 4),
                             charts: Sequence[int] = (1,),
                             renorm_dt: float = 0.1,
-                            t_max: float = 500.0,
-                            base_radius: float = 2.0,
-                            cfg: IntegratorConfig | None = None) -> LyapunovTable:
+                            t_max: float = 500.0) -> LyapunovTable:
     """Benettin spectra along the invariant rays, one row per (line, chart).
 
-    The base trajectory starts at the chart image of the ambient point
-    ``base_radius`` times the ray direction (outside the numerically
-    unstable ball around the origin) and follows the compactified field of
-    the chart, with the analytic chart Jacobian driving the tangent flow.
+    The base trajectory starts at the chart image of the ambient point at
+    radius 2 on the ray (outside the numerically unstable ball around the
+    origin) and follows the compactified field of the chart, with the
+    analytic chart Jacobian driving the tangent flow.
     Non-convergent rows (including base trajectories that leave the chart)
     are reported with their partial averages and ``converged=False``.
     """
     field = cpt.model_poly_field()
     # exponents are compared at the 1e-3 level, so 1e-7 local tolerance is ample
-    base_cfg = cfg or IntegratorConfig(rel_tol=1e-7, abs_tol=1e-10, max_step=0.1, t_end=t_max)
+    base_cfg = IntegratorConfig(rel_tol=1e-7, abs_tol=1e-10, max_step=0.1, t_end=t_max)
     rows = []
     for line in lines:
-        x0 = base_radius * line_direction(line)
+        x0 = _BASE_RADIUS * line_direction(line)
         y = cpt.sphere_from_ambient(x0)
         for chart in charts:
             z0 = np.array(cpt.chart_coords(y, chart)[1:], dtype=float)
@@ -351,7 +355,7 @@ class LimitClassification:
     termination: str
 
 
-def classify_limit(x0, cfg: IntegratorConfig | None = None) -> LimitClassification:
+def classify_limit(x0) -> LimitClassification:
     """Run a metric to its limit direction and label the limit metric.
 
     ``normal_einstein`` when the limit direction is the diagonal (within
@@ -361,9 +365,8 @@ def classify_limit(x0, cfg: IntegratorConfig | None = None) -> LimitClassificati
     its termination reason as the diagnostic.
     """
     m = MetricParams.of(np.asarray(x0, dtype=float))
-    cfg = cfg or _RUN_CFG
     field = cpt.model_poly_field()
-    traj = integrate_compactified(field, m.as_array(), cfg,
+    traj = integrate_compactified(field, m.as_array(), _RUN_CFG,
                                   targets=_equilibrium_targets(),
                                   convergence_radius=_STOP_RADIUS)
     u = traj.final_state

@@ -13,7 +13,7 @@ import pytest
 
 import flagflow as ff
 from flagflow.cli import run as cli_run
-from flagflow.dynamics import IntegratorConfig, integrate, integrate_with_events
+from flagflow.dynamics import IntegratorConfig, integrate_with_events
 from flagflow.experiments import cylinder_basin, lyapunov_exponent_table, no_interior_equilibria_scan
 from flagflow.model import (
     einstein_residual,
@@ -159,15 +159,15 @@ def test_criterion_7_integrator_oracles():
     checkpoints_metric = np.linspace(0.05, 0.5, 10)
     worst_metric = 0.0
     for t in checkpoints_metric:
-        tr = integrate(ff.ricci_field(), (1.0, 1.0, 1.0), IntegratorConfig(t_end=float(t)))
+        tr = integrate_with_events(ff.ricci_field(), (1.0, 1.0, 1.0), IntegratorConfig(t_end=float(t)))
         worst_metric = max(worst_metric,
                            abs(tr.final_state[0] - math.sqrt(1.0 - 5.0 * t / 3.0)))
     checkpoints_poly = np.linspace(0.018, 0.18, 10)
     worst_poly = 0.0
     for t in checkpoints_poly:
-        tr = integrate(ff.poly_field(), (1.0, 1.0, 1.0), IntegratorConfig(t_end=float(t)))
+        tr = integrate_with_events(ff.poly_rhs, (1.0, 1.0, 1.0), IntegratorConfig(t_end=float(t)))
         worst_poly = max(worst_poly, abs(tr.final_state[0] - 1.0 / (1.0 - 5.0 * t)))
-    blow = integrate_with_events(ff.poly_field(), (1.0, 1.0, 1.0),
+    blow = integrate_with_events(ff.poly_rhs, (1.0, 1.0, 1.0),
                                  IntegratorConfig(t_end=1.0), blow_up_radius=1e6)
     blow_ok = blow.termination == "blow_up_event" and abs(blow.final_time - 0.2) <= 1e-3
     ok = worst_metric <= 1e-6 and worst_poly <= 1e-6 and blow_ok

@@ -266,6 +266,34 @@ class TestPlotCommand:
         assert read(a) == read(b)
 
 
+class TestInputBoundary:
+    @pytest.mark.parametrize("argv, code", [
+        (["integrate", "--x0", "nan,1,1"], 1),
+        (["integrate", "--x0", "1,1,1", "--t-end", "inf"], 1),
+        (["integrate", "--x0", "1,1,1", "--max-step", "inf"], 1),
+        (["plot", "--t-end", "-1"], 1),
+        (["plot", "--t-end", "inf"], 1),
+        (["verify", "--scan-resolution", "10"], 1),
+        (["verify", "--checks", "no-equilibria", "--scan-resolution", "10000000"], 1),
+        (["verify", "--checks", "lines", "--tangency-tol", "nan"], 1),
+        (["verify", "--checks", "einstein", "--einstein-tol", "-1"], 1),
+        (["verify", "--checks", "reparam", "--reparam-tol", "inf"], 1),
+        (["infinity", "--seed-box", "inf"], 1),
+        (["basin", "--line", "2", "--delta", "inf"], 1),
+        (["basin", "--line", "2", "--delta", "nan"], 1),
+        (["lyapunov", "--lines", "4", "--t-max", "1e12"], 1),
+        (["ricci", "--metric", "1e-320,1,1"], 2),
+    ])
+    def test_rejected_input_gives_one_line(self, argv, code):
+        proc = run_cli(argv)
+        assert proc.returncode == code
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == [proc.stderr.strip()]
+        prefix = "flagflow: error: " if code == 1 else "flagflow: numerical failure: "
+        assert proc.stderr.startswith(prefix)
+        assert proc.stdout == ""
+
+
 class TestHelp:
     @pytest.mark.parametrize("cmd", ["ricci", "integrate", "infinity", "lyapunov",
                                      "verify", "basin", "plot"])

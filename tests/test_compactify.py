@@ -17,7 +17,6 @@ from flagflow.compactify import (
     chart_equator_roots,
     chart_point_to_sphere,
     classify_equilibrium,
-    compactified_field,
     compactified_field_array,
     compactified_jacobian,
     find_infinity_equilibria,
@@ -118,17 +117,20 @@ def reference_chart_field(z1, z2, z3):
 
 class TestCompactifiedField:
     def test_vanishes_at_diagonal_equator_point(self, field):
-        g = compactified_field(field, ChartPoint(1, 1.0, 1.0, 0.0))
+        p = ChartPoint(1, 1.0, 1.0, 0.0)
+        g = compactified_field_array(field, p.chart, p[1:])
         assert g == pytest.approx((0.0, 0.0, 0.0), abs=1e-13)
 
     def test_vanishes_at_ray_equator_point(self, field):
-        g = compactified_field(field, ChartPoint(1, T, 1.0, 0.0))
+        p = ChartPoint(1, T, 1.0, 0.0)
+        g = compactified_field_array(field, p.chart, p[1:])
         assert g == pytest.approx((0.0, 0.0, 0.0), abs=1e-12)
 
     def test_chart_center_value(self, field):
         # P(1,0,0) = (1,-1,-1), so the chart field is (-1,-1,0); checked
         # against the brute-force evaluator before freezing
-        g = compactified_field(field, ChartPoint(1, 0.0, 0.0, 0.0))
+        p = ChartPoint(1, 0.0, 0.0, 0.0)
+        g = compactified_field_array(field, p.chart, p[1:])
         assert g == pytest.approx(reference_chart_field(0.0, 0.0, 0.0), abs=0)
         assert g == pytest.approx((-1.0, -1.0, 0.0), abs=1e-15)
 
@@ -188,17 +190,6 @@ class TestCompactifiedJacobian:
     def test_known_spectrum_at_diagonal(self, field):
         eig = np.sort(np.linalg.eigvals(compactified_jacobian(field, 1, (1.0, 1.0, 0.0))).real)
         assert eig == pytest.approx([-7.0, -7.0, -5.0], abs=1e-12)
-
-    def test_generic_field_dispatch_agrees(self, field):
-        # route the same quadratic field through the non-homogeneous code
-        # path and compare both value and Jacobian
-        from flagflow.model import poly_jacobian
-        generic = PolyField3(func=poly_rhs, jac=poly_jacobian, degree=2, homogeneous=False)
-        for z in [(1.0, 1.0, 0.0), (T, 1.0, 0.0), (0.3, -1.4, 0.8), (2.0, -0.5, 0.0)]:
-            assert compactified_field_array(generic, 1, z) == pytest.approx(
-                compactified_field_array(field, 1, z), rel=1e-12, abs=1e-10)
-            assert compactified_jacobian(generic, 1, z) == pytest.approx(
-                compactified_jacobian(field, 1, z), rel=1e-9, abs=1e-8)
 
 
 class TestEquatorCensus:
@@ -315,6 +306,12 @@ class TestSearchConfig:
             SearchConfig(grid_resolution=MAX_GRID_RESOLUTION + 1)
         with pytest.raises(ValueError):
             SearchConfig(seed_box=-1.0)
+
+    @pytest.mark.parametrize("name", ["seed_box", "newton_tol", "dedupe_radius"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rejects_nonfinite(self, name, value):
+        with pytest.raises(ValueError):
+            SearchConfig(**{name: value})
 
     def test_polyfield_validation(self):
         with pytest.raises(ValueError):

@@ -8,16 +8,14 @@ from flagflow.compactify import compactified_field_array, compactified_jacobian,
 from flagflow.dynamics import (
     IntegratorConfig,
     Trajectory,
-    distance_to_line,
     distance_to_line_ball,
-    integrate,
     integrate_compactified,
     integrate_with_events,
     lyapunov_spectrum,
-    poly_field,
     ricci_field,
 )
-from flagflow.model import invariant_directions
+from flagflow.dynamics import MAX_LYAPUNOV_SEGMENTS
+from flagflow.model import flow_rhs, invariant_directions, poly_rhs
 
 
 def decay_field(y):
@@ -27,7 +25,7 @@ def decay_field(y):
 def linear_diag_field():
     A = np.diag([1.0, 2.0, 3.0])
     return PolyField3(func=lambda x: A @ np.asarray(x, float), jac=lambda x: A,
-                      degree=1, homogeneous=True)
+                      degree=1)
 
 
 class TestIntegratorConfig:
@@ -39,26 +37,46 @@ class TestIntegratorConfig:
         with pytest.raises(ValueError):
             IntegratorConfig(t_end=0.0)
 
+    @pytest.mark.parametrize("name", ["t_end", "max_step"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rejects_nonfinite(self, name, value):
+        with pytest.raises(ValueError):
+            IntegratorConfig(**{name: value})
+
+
+class TestRicciField:
+    def test_matches_model_flow_bitwise(self):
+        rhs = ricci_field()
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            m = rng.uniform(0.1, 5.0, size=3)
+            assert np.array_equal(rhs(m), flow_rhs(m))
+
+    def test_outside_octant_gives_nonfinite_without_raising(self):
+        with np.errstate(all="ignore"):
+            v = ricci_field()(np.array([0.0, 1.0, 1.0]))
+        assert not np.all(np.isfinite(v))
+
 
 class TestIntegrate:
     def test_exponential_decay(self):
-        tr = integrate(decay_field, (1.0, 0.0, 0.0), IntegratorConfig(t_end=1.0))
+        tr = integrate_with_events(decay_field, (1.0, 0.0, 0.0), IntegratorConfig(t_end=1.0))
         assert tr.termination == "reached_t_end"
         assert tr.final_state[0] == pytest.approx(math.exp(-1.0), abs=1e-8)
 
     def test_metric_flow_diagonal_closed_form(self):
         # on the diagonal the metric flow collapses as c(t) = sqrt(1 - 5t/3)
-        tr = integrate(ricci_field(), (1.0, 1.0, 1.0), IntegratorConfig(t_end=0.3))
+        tr = integrate_with_events(ricci_field(), (1.0, 1.0, 1.0), IntegratorConfig(t_end=0.3))
         assert tr.final_state[0] == pytest.approx(math.sqrt(0.5), abs=1e-6)
 
     def test_quadratic_flow_diagonal_closed_form(self):
         # on the diagonal the quadratic flow blows up as c(t) = 1/(1 - 5t)
-        tr = integrate(poly_field(), (1.0, 1.0, 1.0), IntegratorConfig(t_end=0.1))
+        tr = integrate_with_events(poly_rhs, (1.0, 1.0, 1.0), IntegratorConfig(t_end=0.1))
         assert tr.final_state[0] == pytest.approx(2.0, abs=1e-7)
 
     def test_diagonal_invariance_is_exact(self):
-        for field, t_end in ((poly_field(), 0.15), (ricci_field(), 0.3)):
-            tr = integrate(field, (1.0, 1.0, 1.0), IntegratorConfig(t_end=t_end))
+        for field, t_end in ((poly_rhs, 0.15), (ricci_field(), 0.3)):
+            tr = integrate_with_events(field, (1.0, 1.0, 1.0), IntegratorConfig(t_end=t_end))
             spread = np.max(np.abs(tr.states - tr.states[:, :1]))
             assert spread <= 1e-10  # cyclic formula coding keeps it bitwise 0
 
@@ -67,14 +85,14 @@ class TestIntegrate:
         # by 16 must cut the end-state error by >= 8x
         def end_err(rtol):
             cfg = IntegratorConfig(rel_tol=rtol, abs_tol=rtol * 1e-3, t_end=0.18)
-            tr = integrate(poly_field(), (1.0, 1.0, 1.0), cfg)
+            tr = integrate_with_events(poly_rhs, (1.0, 1.0, 1.0), cfg)
             return abs(tr.final_state[0] - 1.0 / (1.0 - 5 * 0.18))
 
         for rtol in (1e-5, 1e-6):
             assert end_err(rtol) / end_err(rtol / 16.0) >= 8.0
 
     def test_interpolation_between_steps(self):
-        tr = integrate(decay_field, (1.0, 0.5, -0.25), IntegratorConfig(t_end=2.0))
+        tr = integrate_with_events(decay_field, (1.0, 0.5, -0.25), IntegratorConfig(t_end=2.0))
         for t in (0.1, 0.77, 1.5):
             assert tr.interpolate(t) == pytest.approx(
                 np.array([1.0, 0.5, -0.25]) * math.exp(-t), abs=1e-7)
@@ -93,7 +111,7 @@ class TestIntegrate:
 class TestEvents:
     def test_blow_up_event_location(self):
         # sup-norm hits 100 on the diagonal at t = (1 - 1/100)/5 = 0.198
-        tr = integrate_with_events(poly_field(), (1.0, 1.0, 1.0),
+        tr = integrate_with_events(poly_rhs, (1.0, 1.0, 1.0),
                                    IntegratorConfig(t_end=1.0), blow_up_radius=100.0)
         assert tr.termination == "blow_up_event"
         assert tr.final_time == pytest.approx(0.198, abs=1e-3)
@@ -108,7 +126,7 @@ class TestEvents:
 
     def test_step_collapse_is_graceful(self):
         # finite-time blow-up without an event trap exhausts the controller
-        tr = integrate(poly_field(), (1.0, 1.0, 1.0), IntegratorConfig(t_end=1.0))
+        tr = integrate_with_events(poly_rhs, (1.0, 1.0, 1.0), IntegratorConfig(t_end=1.0))
         assert tr.termination == "step_size_collapse"
         assert np.all(np.isfinite(tr.states))
         assert tr.final_time == pytest.approx(0.2, abs=1e-4)
@@ -150,7 +168,7 @@ class TestCompactifiedIntegration:
         # the compactified run and the ambient run (projected to the ball)
         # terminate at the same boundary point
         x0 = (1.3, 1.1, 1.2)
-        amb = integrate_with_events(poly_field(), x0,
+        amb = integrate_with_events(poly_rhs, x0,
                                     IntegratorConfig(t_end=1.0, rel_tol=1e-10, abs_tol=1e-13),
                                     blow_up_radius=1e9)
         assert amb.termination == "blow_up_event"
@@ -213,17 +231,24 @@ class TestLyapunovSpectrum:
     def test_rejects_bad_cadence(self):
         with pytest.raises(ValueError):
             lyapunov_spectrum(decay_field, (1.0, 0.0, 0.0),
-                              IntegratorConfig(t_end=1.0), 0.0)
+                              IntegratorConfig(t_end=1.0), 0.0, jacobian=lambda x: -np.eye(3))
+
+    def test_rejects_too_many_segments(self):
+        renorm_dt = 0.1
+        cfg = IntegratorConfig(t_end=2.0 * MAX_LYAPUNOV_SEGMENTS * renorm_dt)
+        with pytest.raises(ValueError):
+            lyapunov_spectrum(decay_field, (1.0, 0.0, 0.0), cfg, renorm_dt,
+                              jacobian=lambda x: -np.eye(3))
 
 
 class TestDistanceToLine:
     def test_on_ray_distance_vanishes(self):
         d = invariant_directions()[1]
-        assert distance_to_line(3.0 * d, 2) == pytest.approx(0.0, abs=1e-12)
+        assert distance_to_line_ball(ball_projection(3.0 * d), 2) == pytest.approx(0.0, abs=1e-12)
 
     def test_origin_is_on_every_ray(self):
         for line in (1, 2, 3, 4):
-            assert distance_to_line((0.0, 0.0, 0.0), line) == 0.0
+            assert distance_to_line_ball(ball_projection((0.0, 0.0, 0.0)), line) == 0.0
 
     def test_known_offset_point(self):
         # perpendicular distance from (0.6, 0.6, 0.7) to the diagonal ray

@@ -87,6 +87,10 @@ class TestNoInteriorEquilibriaScan:
         with pytest.raises(ValueError):
             no_interior_equilibria_scan(49)
 
+    def test_rejects_resolution_above_cap(self):
+        with pytest.raises(ValueError):
+            no_interior_equilibria_scan(experiments.MAX_SCAN_RESOLUTION + 1)
+
 
 class TestCylinderBasin:
     def test_parameter_validation(self):
