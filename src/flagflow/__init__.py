@@ -22,7 +22,6 @@ from .model import (
     tangency_defect,
 )
 from .compactify import (
-    ChartPoint,
     InfinityEquilibrium,
     PolyField3,
     SearchConfig,
@@ -76,7 +75,6 @@ __all__ = [
     # compactification
     "PolyField3",
     "model_poly_field",
-    "ChartPoint",
     "ball_projection",
     "ball_unprojection",
     "sphere_from_ambient",

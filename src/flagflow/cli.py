@@ -94,11 +94,24 @@ def _parse_lines(text: str) -> list[int]:
     return lines
 
 
-# per-command config keys and casters; global keys apply everywhere
-_GLOBAL_KEYS = {"out": str, "format": str, "seed": int}
+_FORMATS = ("csv", "json")
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
+
+
+def _config_format(value: str) -> str:
+    if value not in _FORMATS:
+        raise ValueError(value)
+    return value
+
+
+# per-command config keys and casters, which reject a value by raising
+# KeyError or ValueError; global keys apply everywhere
+_GLOBAL_KEYS = {"out": str, "format": _config_format, "seed": int}
 _COMMAND_KEYS = {
     "ricci": {"metric": str},
-    "integrate": {"system": str, "x0": str, "t_end": float, "compactified": bool,
+    "integrate": {"system": str, "x0": str, "t_end": float,
+                  "compactified": lambda v: _BOOL_WORDS[v.lower()],
                   "rel_tol": float, "abs_tol": float, "max_step": float,
                   "min_step": float, "blow_up_radius": float},
     "infinity": {"grid": int, "seed_box": float},
@@ -130,13 +143,9 @@ def _load_config(path: str, command: str) -> dict:
         value = value.strip()
         if key not in allowed:
             raise _CliError(f"{path}:{lineno}: unknown config key {key!r}")
-        caster = allowed[key]
         try:
-            if caster is bool:
-                values[key] = value.lower() in ("1", "true", "yes", "on")
-            else:
-                values[key] = caster(value)
-        except ValueError:
+            values[key] = allowed[key](value)
+        except (KeyError, ValueError):
             raise _CliError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from None
     return values
 
@@ -174,7 +183,7 @@ def _emit(text: str, out_path: str | None) -> None:
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write output to this path instead of stdout")
-    common.add_argument("--format", choices=("csv", "json"),
+    common.add_argument("--format", choices=_FORMATS,
                         help="output format where a command supports both")
     common.add_argument("--seed", type=int, help="seed for randomized commands")
     common.add_argument("--config", help="key = value config file")

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -43,7 +43,6 @@ from .model import poly_jacobian, poly_rhs
 __all__ = [
     "PolyField3",
     "model_poly_field",
-    "ChartPoint",
     "CHART_NAMES",
     "ball_projection",
     "ball_unprojection",
@@ -96,15 +95,6 @@ def model_poly_field() -> PolyField3:
     return PolyField3(func=poly_rhs, jac=poly_jacobian, degree=2)
 
 
-class ChartPoint(NamedTuple):
-    """Point (z1, z2, z3) of one of the three affine charts (1, 2 or 3)."""
-
-    chart: int
-    z1: float
-    z2: float
-    z3: float
-
-
 def ball_projection(x) -> np.ndarray:
     """Shrink R^3 onto the open unit ball: x / sqrt(1 + |x|^2)."""
     x = np.asarray(x, dtype=float)
@@ -128,7 +118,7 @@ def sphere_from_ambient(x) -> np.ndarray:
     return np.array([x[0] / delta, x[1] / delta, x[2] / delta, 1.0 / delta])
 
 
-def chart_coords(y, chart: int) -> ChartPoint:
+def chart_coords(y, chart: int) -> np.ndarray:
     """Chart coordinates of a point of S^3; the dividing coordinate must be nonzero.
 
     Antipodal points share chart coordinates, so the result encodes the
@@ -139,13 +129,13 @@ def chart_coords(y, chart: int) -> ChartPoint:
     pivot = float(y[slot])
     if abs(pivot) <= 1e-12:
         raise ValueError(f"point is outside the domain of chart {CHART_NAMES[chart]}")
-    return ChartPoint(chart, float(y[a] / pivot), float(y[b] / pivot), float(y[3] / pivot))
+    return np.array([y[a] / pivot, y[b] / pivot, y[3] / pivot])
 
 
-def chart_point_to_sphere(p: ChartPoint) -> np.ndarray:
-    """Unit S^3 point of a chart point (chart-slot component positive)."""
-    w = _chart_w(p.chart, p.z1, p.z2)
-    v = np.array([w[0], w[1], w[2], p.z3])
+def chart_point_to_sphere(chart: int, z) -> np.ndarray:
+    """Unit S^3 point of the chart point z (chart-slot component positive)."""
+    w = _chart_w(chart, z[0], z[1])
+    v = np.array([w[0], w[1], w[2], z[2]])
     return v / float(np.linalg.norm(v))
 
 
@@ -230,6 +220,10 @@ def equator_field(f: PolyField3, chart: int, z1: float, z2: float) -> np.ndarray
 # them at a few MB each
 MAX_GRID_RESOLUTION = 512
 
+# the ten-point census holds up to this box at grids 32 to 512; at grid 48 it
+# finds three points at 1e8, and from 1e150 on the seeds overflow the field
+MAX_SEED_BOX = 1e6
+
 _MAX_NEWTON_ITER = 40
 
 # eigenvalues with |Re| at or below this count as nonhyperbolic
@@ -251,6 +245,8 @@ class SearchConfig:
         if not all(math.isfinite(v) and v > 0
                    for v in (self.seed_box, self.newton_tol, self.dedupe_radius)):
             raise ValueError("seed_box, newton_tol and dedupe_radius must be positive and finite")
+        if self.seed_box > MAX_SEED_BOX:
+            raise ValueError(f"seed_box must not exceed {MAX_SEED_BOX:g}")
 
 
 @dataclass(frozen=True)

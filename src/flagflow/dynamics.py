@@ -1,17 +1,17 @@
 """Adaptive ODE integration for the ambient and compactified flows.
 
 The workhorse is an embedded Dormand-Prince 4(5) pair with proportional
-step control on a mixed absolute/relative error norm and cubic Hermite
-dense output.  On top of it:
+step control on a mixed absolute/relative error norm.  On top of it:
 
 * plain integration to a final time,
 * event-terminated integration (sup-norm blow-up radius, localized by
-  bisection; convergence to a point held for one full step),
+  bisection on the cubic Hermite interpolant of the last step),
 * integration of the compactified field in the affine charts with
-  automatic chart switching and ball-picture reporting,
+  automatic chart switching, ball-picture reporting and a stop once a
+  full step stays near one of several target points,
 * Lyapunov spectra by co-integrating a tangent frame under the
   variational equations and re-orthonormalizing it on a fixed cadence,
-* distance from a ball point to one of the four invariant rays.
+* distance from ball points to one of the four invariant rays.
 
 All routines are deterministic for fixed inputs and configuration.
 """
@@ -53,8 +53,8 @@ class IntegratorConfig:
     min_step: float = 1e-12
 
     def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValueError("tolerances must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in (self.rel_tol, self.abs_tol)):
+            raise ValueError("tolerances must be positive and finite")
         if not (0 < self.min_step < self.max_step and math.isfinite(self.max_step)):
             raise ValueError("min_step must be positive and smaller than a finite max_step")
         if not (self.t_end > 0 and math.isfinite(self.t_end)):
@@ -67,7 +67,6 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray
-    derivs: np.ndarray
     termination: str
     chart_ids: list[int] | None = None
     chart_states: np.ndarray | None = None
@@ -89,16 +88,6 @@ class Trajectory:
     def final_state(self) -> np.ndarray:
         return self.states[-1]
 
-    def interpolate(self, t: float) -> np.ndarray:
-        """Cubic Hermite dense output between accepted steps."""
-        ts = self.times
-        if not (ts[0] <= t <= ts[-1]):
-            raise ValueError(f"t={t} outside trajectory range [{ts[0]}, {ts[-1]}]")
-        i = int(np.searchsorted(ts, t, side="right") - 1)
-        i = min(max(i, 0), len(ts) - 2)
-        return _hermite(ts[i], self.states[i], self.derivs[i],
-                        ts[i + 1], self.states[i + 1], self.derivs[i + 1], t)
-
 
 # Dormand-Prince 4(5) tableau; the fifth-order solution propagates and the
 # difference to the embedded fourth-order one estimates the local error.
@@ -116,8 +105,6 @@ _DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 /
 
 def _hermite(t0, y0, f0, t1, y1, f1, t):
     h = t1 - t0
-    if h <= 0:
-        return y0.copy()
     s = (t - t0) / h
     s2 = s * s
     s3 = s2 * s
@@ -212,47 +199,35 @@ def ricci_field() -> Callable[[np.ndarray], np.ndarray]:
 
 
 def integrate_with_events(field, x0, cfg: IntegratorConfig, *,
-                          blow_up_radius: float | None = None,
-                          convergence_point=None,
-                          convergence_radius: float = 1e-6) -> Trajectory:
-    """Integrate with optional terminal events.
+                          blow_up_radius: float | None = None) -> Trajectory:
+    """Integrate with an optional blow-up event.
 
     blow_up_radius: stop with ``blow_up_event`` once the state sup-norm
-    reaches the radius; the event time is localized by bisection on the
-    dense output to 1e-9.  convergence_point: stop with
-    ``converged_to_point`` after a full accepted step inside the
-    convergence ball.  Step-size collapse terminates gracefully.
+    reaches the radius; the event time is localized to 1e-9 by bisection
+    on the cubic Hermite interpolant of the step that crossed it.
+    Step-size collapse terminates gracefully.
     """
     x0 = np.asarray(x0, dtype=float)
-    q = None if convergence_point is None else np.asarray(convergence_point, dtype=float)
     times = [0.0]
     states = [x0.copy()]
-    derivs = []
     termination = "reached_t_end"
     try:
         stepper = _Stepper(field, 0.0, x0, cfg)
-        derivs.append(stepper.f.copy())
         if blow_up_radius is not None and float(np.max(np.abs(x0))) >= blow_up_radius:
-            return Trajectory(np.array(times), np.array(states), np.array(derivs), "blow_up_event")
+            return Trajectory(np.array(times), np.array(states), "blow_up_event")
         while stepper.t < cfg.t_end:
             t0, y0, f0, t1, y1, f1 = stepper.step(cfg.t_end)
             if blow_up_radius is not None and float(np.max(np.abs(y1))) >= blow_up_radius:
                 te, ye = _bisect_blow_up(t0, y0, f0, t1, y1, f1, blow_up_radius)
                 times.append(te)
                 states.append(ye)
-                derivs.append(np.asarray(field(ye), dtype=float))
                 termination = "blow_up_event"
                 break
             times.append(t1)
             states.append(y1)
-            derivs.append(f1)
-            if q is not None and (np.linalg.norm(y0 - q) <= convergence_radius
-                                  and np.linalg.norm(y1 - q) <= convergence_radius):
-                termination = "converged_to_point"
-                break
     except _StepCollapse:
         termination = "step_size_collapse"
-    return Trajectory(np.array(times), np.array(states), np.array(derivs), termination)
+    return Trajectory(np.array(times), np.array(states), termination)
 
 
 def _bisect_blow_up(t0, y0, f0, t1, y1, f1, radius):
@@ -296,16 +271,17 @@ def integrate_compactified(f: cpt.PolyField3, x0, cfg: IntegratorConfig, *,
     """
     y = cpt.sphere_from_ambient(np.asarray(x0, dtype=float))
     chart = cpt.best_chart(y)
-    z = np.array(cpt.chart_coords(y, chart)[1:], dtype=float)
-    tgt = None if targets is None else [np.asarray(q, dtype=float) for q in targets]
+    z = cpt.chart_coords(y, chart)
 
     times = [0.0]
     chart_ids = [chart]
-    chart_states = [z.copy()]
+    chart_states = [z]
     ball_states = [_north_ball(chart, z)]
-    derivs = [cpt.compactified_field_array(f, chart, z)]
     chart_log: list[tuple[float, int, int]] = []
     termination = "reached_t_end"
+    if targets is not None:
+        tgt = np.asarray(targets, dtype=float).reshape(-1, 3)
+        was_near = _row_norm(ball_states[0] - tgt) <= convergence_radius
 
     # the chart formula moves the slot-positive representative; tracking the
     # northern point at z3 < 0 needs the antipodal sign (-1)^(d+1)
@@ -321,44 +297,35 @@ def integrate_compactified(f: cpt.PolyField3, x0, cfg: IntegratorConfig, *,
 
     try:
         stepper = _Stepper(make_rhs(chart), 0.0, z, cfg)
-        prev_ball = ball_states[0]
         while stepper.t < cfg.t_end:
-            t0, z0, g0, t1, z1, g1 = stepper.step(cfg.t_end)
+            _, _, _, t1, z1, _ = stepper.step(cfg.t_end)
             u1 = _north_ball(chart, z1)
             times.append(t1)
             chart_ids.append(chart)
-            chart_states.append(z1.copy())
+            chart_states.append(z1)
             ball_states.append(u1)
-            derivs.append(g1)
-            if tgt is not None:
-                done = False
-                for q in tgt:
-                    if (np.linalg.norm(prev_ball - q) <= convergence_radius
-                            and np.linalg.norm(u1 - q) <= convergence_radius):
-                        termination = "converged_to_point"
-                        done = True
-                        break
-                if done:
+            if targets is not None:
+                is_near = _row_norm(u1 - tgt) <= convergence_radius
+                if np.any(was_near & is_near):
+                    termination = "converged_to_point"
                     break
-            prev_ball = u1
-            ysph = cpt.chart_point_to_sphere(cpt.ChartPoint(chart, *z1))
-            if z1[2] < 0:
-                ysph = -ysph
-            pivot = abs(float(ysph[chart - 1]))
-            if pivot < switch_threshold:
+                was_near = is_near
+            # u1 carries the pivot of the chart as its own sphere component
+            if abs(float(u1[chart - 1])) < switch_threshold:
+                ysph = cpt.chart_point_to_sphere(chart, z1)
+                if z1[2] < 0:
+                    ysph = -ysph
                 cand = cpt.best_chart(ysph)
                 if cand != chart and abs(float(ysph[cand - 1])) >= switch_threshold + _SWITCH_HYSTERESIS:
                     chart_log.append((t1, chart, cand))
                     chart = cand
-                    z1 = np.array(cpt.chart_coords(ysph, chart)[1:], dtype=float)
-                    stepper = _Stepper(make_rhs(chart), t1, z1, cfg)
+                    stepper = _Stepper(make_rhs(chart), t1, cpt.chart_coords(ysph, chart), cfg)
     except _StepCollapse:
         termination = "step_size_collapse"
 
     return Trajectory(
         times=np.array(times),
         states=np.array(ball_states),
-        derivs=np.array(derivs),
         termination=termination,
         chart_ids=chart_ids,
         chart_states=np.array(chart_states),
@@ -493,9 +460,25 @@ def lyapunov_spectrum(field, x0, cfg: IntegratorConfig, renorm_dt: float, *,
     )
 
 
-def distance_to_line_ball(u, line: int) -> float:
-    """Distance from a ball point to the ray spanned by an invariant direction."""
+def _row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # row-wise u_i . v_i through the same BLAS dot as a 1-D ``u_i @ v_i``
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
+def _row_norm(u: np.ndarray) -> np.ndarray:
+    # equal bit for bit to ``np.linalg.norm`` of each row
+    return np.sqrt(_row_dot(u, u))
+
+
+def distance_to_line_ball(u, line: int) -> float | np.ndarray:
+    """Distance from a ball point to the ray spanned by an invariant direction.
+
+    ``u`` is one point (a float is returned) or an (N, 3) array of points
+    (an (N,) array is returned, equal bit for bit to the per-point values).
+    """
     u = np.asarray(u, dtype=float)
+    rows = u.reshape(-1, 3)
     d = line_direction(line)
-    s = max(float(u @ d), 0.0)
-    return float(np.linalg.norm(u - s * d))
+    s = np.maximum(_row_dot(rows, np.broadcast_to(d, rows.shape)), 0.0)
+    dist = _row_norm(rows - s[:, None] * d)
+    return float(dist[0]) if u.ndim == 1 else dist

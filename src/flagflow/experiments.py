@@ -27,6 +27,8 @@ import numpy as np
 from . import compactify as cpt
 from .dynamics import (
     IntegratorConfig,
+    _row_dot,
+    _row_norm,
     distance_to_line_ball,
     integrate_compactified,
     lyapunov_spectrum,
@@ -89,15 +91,6 @@ def _octant_grid(resolution: int) -> np.ndarray:
     mask = i + j <= n
     pts = np.column_stack([i[mask], j[mask], (n - i - j)[mask]]).astype(float)
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
-
-
-def _row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    # row-wise u_i . v_i through the same BLAS dot as a 1-D ``u_i @ v_i``
-    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
-
-
-def _row_norm(u: np.ndarray) -> np.ndarray:
-    return np.sqrt(_row_dot(u, u))
 
 
 def _polish_octant_minima(d: np.ndarray) -> np.ndarray:
@@ -265,8 +258,8 @@ def cylinder_basin(line: int, epsilon: float, delta: float, n: int, seed: int) -
         end = traj.final_state
         converged = (traj.termination == "converged_to_point"
                      and float(np.linalg.norm(end - target)) <= CONVERGED_DISTANCE)
-        devs = [distance_to_line_ball(u, line) for u in traj.states[1:]]
-        dev = max(devs) if devs else 0.0
+        devs = distance_to_line_ball(traj.states[1:], line)
+        dev = float(devs.max()) if devs.size else 0.0
         n_conv += converged
         overall_dev = max(overall_dev, dev)
         records.append(BasinSample(
@@ -330,7 +323,7 @@ def lyapunov_exponent_table(lines: Sequence[int] = (1, 2, 3, 4),
         x0 = _BASE_RADIUS * line_direction(line)
         y = cpt.sphere_from_ambient(x0)
         for chart in charts:
-            z0 = np.array(cpt.chart_coords(y, chart)[1:], dtype=float)
+            z0 = cpt.chart_coords(y, chart)
             rhs = lambda z, c=chart: cpt.compactified_field_array(field, c, z)
             jac = lambda z, c=chart: cpt.compactified_jacobian(field, c, z)
             spec = lyapunov_spectrum(rhs, z0, base_cfg, renorm_dt, jacobian=jac)

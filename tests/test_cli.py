@@ -244,6 +244,18 @@ class TestConfigFile:
         cfg.write_text("metric 1,1,1\n")
         assert run(["ricci", "--config", str(cfg)]) == 1
 
+    @pytest.mark.parametrize("command, entry", [
+        (["ricci", "--metric", "1,1,1"], "format = xml"),
+        (["integrate", "--x0", "1.2,1.2,1.2", "--t-end", "1"], "compactified = maybe"),
+    ])
+    def test_bad_value_exits_1(self, tmp_path, capsys, command, entry):
+        cfg = tmp_path / "flagflow.cfg"
+        cfg.write_text(entry + "\n")
+        assert run(command + ["--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bad value" in captured.err
+
     def test_missing_file_exits_1(self, tmp_path):
         assert run(["ricci", "--metric", "1,1,1",
                     "--config", str(tmp_path / "absent.cfg")]) == 1
@@ -283,6 +295,10 @@ class TestInputBoundary:
         (["basin", "--line", "2", "--delta", "nan"], 1),
         (["lyapunov", "--lines", "4", "--t-max", "1e12"], 1),
         (["ricci", "--metric", "1e-320,1,1"], 2),
+        (["integrate", "--x0", "1,1,1", "--rel-tol", "inf", "--t-end", "0.1"], 1),
+        (["integrate", "--x0", "1,1,1", "--abs-tol", "inf", "--t-end", "0.1"], 1),
+        (["infinity", "--seed-box", "1e8"], 1),
+        (["infinity", "--seed-box", "1e300"], 1),
     ])
     def test_rejected_input_gives_one_line(self, argv, code):
         proc = run_cli(argv)

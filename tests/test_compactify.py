@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from flagflow import compactify
 from flagflow.compactify import (
     MAX_GRID_RESOLUTION,
-    ChartPoint,
+    MAX_SEED_BOX,
     PolyField3,
     SearchConfig,
     ball_projection,
@@ -73,11 +73,11 @@ class TestCharts:
     def test_chart_coords_round_direction(self):
         y = np.array([1.0, 1.0, 1.0, 0.0]) / math.sqrt(3.0)
         p = chart_coords(y, 1)
-        assert (p.z1, p.z2, p.z3) == pytest.approx((1.0, 1.0, 0.0), abs=1e-15)
+        assert (p[0], p[1], p[2]) == pytest.approx((1.0, 1.0, 0.0), abs=1e-15)
 
     def test_chart_center(self):
         p = chart_coords(np.array([1.0, 0.0, 0.0, 0.0]), 1)
-        assert (p.z1, p.z2, p.z3) == (0.0, 0.0, 0.0)
+        assert (p[0], p[1], p[2]) == (0.0, 0.0, 0.0)
 
     def test_outside_domain(self):
         with pytest.raises(ValueError):
@@ -94,7 +94,7 @@ class TestCharts:
             if y[chart - 1] < 0:
                 y = -y  # chart encodes the slot-positive representative
             p = chart_coords(y, chart)
-            assert chart_point_to_sphere(p) == pytest.approx(y, abs=1e-12)
+            assert chart_point_to_sphere(chart, p) == pytest.approx(y, abs=1e-12)
 
     def test_best_chart(self):
         assert best_chart(sphere_from_ambient((10.0, 1.0, 1.0))) == 1
@@ -117,20 +117,20 @@ def reference_chart_field(z1, z2, z3):
 
 class TestCompactifiedField:
     def test_vanishes_at_diagonal_equator_point(self, field):
-        p = ChartPoint(1, 1.0, 1.0, 0.0)
-        g = compactified_field_array(field, p.chart, p[1:])
+        p = (1, 1.0, 1.0, 0.0)
+        g = compactified_field_array(field, p[0], p[1:])
         assert g == pytest.approx((0.0, 0.0, 0.0), abs=1e-13)
 
     def test_vanishes_at_ray_equator_point(self, field):
-        p = ChartPoint(1, T, 1.0, 0.0)
-        g = compactified_field_array(field, p.chart, p[1:])
+        p = (1, T, 1.0, 0.0)
+        g = compactified_field_array(field, p[0], p[1:])
         assert g == pytest.approx((0.0, 0.0, 0.0), abs=1e-12)
 
     def test_chart_center_value(self, field):
         # P(1,0,0) = (1,-1,-1), so the chart field is (-1,-1,0); checked
         # against the brute-force evaluator before freezing
-        p = ChartPoint(1, 0.0, 0.0, 0.0)
-        g = compactified_field_array(field, p.chart, p[1:])
+        p = (1, 0.0, 0.0, 0.0)
+        g = compactified_field_array(field, p[0], p[1:])
         assert g == pytest.approx(reference_chart_field(0.0, 0.0, 0.0), abs=0)
         assert g == pytest.approx((-1.0, -1.0, 0.0), abs=1e-15)
 
@@ -244,7 +244,7 @@ class TestEquatorCensus:
                     continue
                 y = np.concatenate([e.direction, [0.0]])
                 p = chart_coords(y, chart)
-                other = classify_equilibrium(field, chart, p.z1, p.z2)
+                other = classify_equilibrium(field, chart, p[0], p[1])
                 assert other.stability == e.stability
                 a = np.sort(e.eigenvalues.real)
                 b = np.sort(other.eigenvalues.real)
@@ -306,6 +306,9 @@ class TestSearchConfig:
             SearchConfig(grid_resolution=MAX_GRID_RESOLUTION + 1)
         with pytest.raises(ValueError):
             SearchConfig(seed_box=-1.0)
+        with pytest.raises(ValueError):
+            SearchConfig(seed_box=2.0 * MAX_SEED_BOX)
+        assert SearchConfig(seed_box=MAX_SEED_BOX).seed_box == MAX_SEED_BOX
 
     @pytest.mark.parametrize("name", ["seed_box", "newton_tol", "dedupe_radius"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
