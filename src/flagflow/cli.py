@@ -343,13 +343,18 @@ def _cmd_integrate(args, config, out, fmt) -> int:
         )
     except ValueError as exc:
         raise _CliError(str(exc)) from None
+    radius = _resolve(args, config, "blow_up_radius", None)
+    if compactified and radius is not None:
+        raise _CliError("--blow-up-radius does not apply to --compactified runs")
+    if radius is not None and not (math.isfinite(radius) and radius > 0):
+        raise _CliError("--blow-up-radius must be positive and finite")
 
     if compactified:
         traj = integrate_compactified(cpt.model_poly_field(), x0, cfg)
     else:
         field = ricci_field() if system == "ricci" else model.poly_rhs
-        radius = _resolve(args, config, "blow_up_radius", 1e6)
-        traj = integrate_with_events(field, x0, cfg, blow_up_radius=radius)
+        traj = integrate_with_events(field, x0, cfg,
+                                     blow_up_radius=1e6 if radius is None else radius)
     _emit(_trajectory_csv(traj), out)
     if traj.termination in ("blow_up_event", "step_size_collapse"):
         print(f"flagflow integrate: terminated by {traj.termination} at "

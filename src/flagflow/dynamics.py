@@ -71,6 +71,8 @@ class Trajectory:
     chart_ids: list[int] | None = None
     chart_states: np.ndarray | None = None
     chart_log: list[tuple[float, int, int]] | None = None
+    # integrator counters: steppers, evaluations, accepted, rejected
+    work: dict = dataclass_field(default_factory=dict)
 
     def __post_init__(self):
         if self.termination not in TERMINATIONS:
@@ -117,13 +119,28 @@ class _StepCollapse(Exception):
 
 
 class _Stepper:
-    """One-step adaptive Dormand-Prince driver (FSAL)."""
+    """One-step adaptive Dormand-Prince stepper (FSAL).
 
-    def __init__(self, func, t0: float, y0: np.ndarray, cfg: IntegratorConfig):
+    A trial step evaluates all six new stages into one stage buffer and
+    then tests the buffer for finiteness once: a non-finite stage, or a
+    non-finite error norm, rejects the step and cuts h fivefold.  The
+    stages after a non-finite one are evaluated too, so ``func`` must
+    return inf/nan, not raise, at non-finite input.
+
+    ``work`` is a dict of counters shared by every stepper of one run;
+    each stepper adds itself to ``steppers`` and its field calls to
+    ``evaluations``, so evaluations = steppers + 6 * (accepted + rejected).
+    """
+
+    def __init__(self, func, t0: float, y0: np.ndarray, cfg: IntegratorConfig, work: dict):
         self.func = func
         self.cfg = cfg
+        self.work = work
         self.t = float(t0)
         self.y = np.array(y0, dtype=float)
+        self.kmat = np.empty((7, self.y.size))
+        work["steppers"] += 1
+        work["evaluations"] += 1
         with np.errstate(all="ignore"):
             self.f = np.asarray(func(self.y), dtype=float)
         if not np.all(np.isfinite(self.f)):
@@ -140,43 +157,50 @@ class _Stepper:
         Raises _StepCollapse when the controller drives h below min_step.
         """
         cfg = self.cfg
-        n = self.y.size
-        kmat = np.empty((7, n))
-        while True:
-            h = min(self.h, t_limit - self.t)
-            if h < cfg.min_step:
-                raise _StepCollapse(f"step size {h:.3e} fell below min_step at t={self.t:.6g}")
-            kmat[0] = self.f
-            ok = True
-            with np.errstate(all="ignore"):
+        kmat = self.kmat
+        work = self.work
+        with np.errstate(all="ignore"):
+            while True:
+                h = min(self.h, t_limit - self.t)
+                if h < cfg.min_step:
+                    raise _StepCollapse(f"step size {h:.3e} fell below min_step at t={self.t:.6g}")
+                kmat[0] = self.f
+                # ndarray.dot reaches the same BLAS kernels as ``@`` with half the
+                # call overhead; tests/test_dynamics.py checks the bits agree
                 for stage in range(1, 7):
-                    yi = self.y + h * (_DP_A[stage] @ kmat[:stage])
-                    fi = np.asarray(self.func(yi), dtype=float)
-                    kmat[stage] = fi
-                    if not np.all(np.isfinite(fi)):
-                        ok = False
-                        break
-            if ok:
-                y_new = yi  # stage 6 evaluates at the fifth-order solution (FSAL)
-                f_new = fi
-                err = h * (_DP_E @ kmat)
-                scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(self.y), np.abs(y_new))
-                with np.errstate(all="ignore"):
-                    err_norm = float(np.linalg.norm(err / scale) / math.sqrt(err.size))
-            if not ok or not math.isfinite(err_norm):
-                self.h = max(h * 0.2, cfg.min_step * 0.5)
-                if self.h < cfg.min_step:
-                    raise _StepCollapse(f"repeated rejected steps at t={self.t:.6g}")
-                continue
-            if err_norm <= 1.0:
-                out = (self.t, self.y, self.f, self.t + h, y_new, f_new)
-                self.t += h
-                self.y = y_new
-                self.f = f_new
-                factor = 0.9 * err_norm ** -0.2 if err_norm > 0.0 else 5.0
-                self.h = min(h * min(5.0, max(0.2, factor)), cfg.max_step)
-                return out
-            self.h = h * min(1.0, max(0.2, 0.9 * err_norm ** -0.2))
+                    yi = self.y + h * _DP_A[stage].dot(kmat[:stage])
+                    kmat[stage] = self.func(yi)
+                work["evaluations"] += 6
+                err_norm = math.nan
+                if np.isfinite(kmat).all():
+                    # stage 6 evaluates at the fifth-order solution yi (FSAL)
+                    err = h * _DP_E.dot(kmat)
+                    scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(self.y), np.abs(yi))
+                    e = err / scale
+                    # np.linalg.norm of a 1-D array is sqrt(e.dot(e))
+                    err_norm = math.sqrt(float(e.dot(e))) / math.sqrt(e.size)
+                if not math.isfinite(err_norm):
+                    work["rejected"] += 1
+                    self.h = max(h * 0.2, cfg.min_step * 0.5)
+                    if self.h < cfg.min_step:
+                        raise _StepCollapse(f"repeated rejected steps at t={self.t:.6g}")
+                    continue
+                if err_norm <= 1.0:
+                    work["accepted"] += 1
+                    f_new = kmat[6].copy()
+                    out = (self.t, self.y, self.f, self.t + h, yi, f_new)
+                    self.t += h
+                    self.y = yi
+                    self.f = f_new
+                    factor = 0.9 * err_norm ** -0.2 if err_norm > 0.0 else 5.0
+                    self.h = min(h * min(5.0, max(0.2, factor)), cfg.max_step)
+                    return out
+                work["rejected"] += 1
+                self.h = h * min(1.0, max(0.2, 0.9 * err_norm ** -0.2))
+
+
+def _new_work() -> dict:
+    return {"steppers": 0, "evaluations": 0, "accepted": 0, "rejected": 0}
 
 
 def ricci_field() -> Callable[[np.ndarray], np.ndarray]:
@@ -204,17 +228,25 @@ def integrate_with_events(field, x0, cfg: IntegratorConfig, *,
 
     blow_up_radius: stop with ``blow_up_event`` once the state sup-norm
     reaches the radius; the event time is localized to 1e-9 by bisection
-    on the cubic Hermite interpolant of the step that crossed it.
-    Step-size collapse terminates gracefully.
+    on the cubic Hermite interpolant of the step that crossed it.  The
+    radius must be positive and finite.  Step-size collapse terminates
+    gracefully.
+
+    A trial step evaluates all six Dormand-Prince stages and is rejected
+    when any of them is not finite, so ``field`` must return inf/nan, not
+    raise, where it is undefined.
     """
+    if blow_up_radius is not None and not (math.isfinite(blow_up_radius) and blow_up_radius > 0):
+        raise ValueError("blow_up_radius must be positive and finite")
     x0 = np.asarray(x0, dtype=float)
     times = [0.0]
     states = [x0.copy()]
     termination = "reached_t_end"
+    work = _new_work()
     try:
-        stepper = _Stepper(field, 0.0, x0, cfg)
+        stepper = _Stepper(field, 0.0, x0, cfg, work)
         if blow_up_radius is not None and float(np.max(np.abs(x0))) >= blow_up_radius:
-            return Trajectory(np.array(times), np.array(states), "blow_up_event")
+            return Trajectory(np.array(times), np.array(states), "blow_up_event", work=work)
         while stepper.t < cfg.t_end:
             t0, y0, f0, t1, y1, f1 = stepper.step(cfg.t_end)
             if blow_up_radius is not None and float(np.max(np.abs(y1))) >= blow_up_radius:
@@ -227,7 +259,7 @@ def integrate_with_events(field, x0, cfg: IntegratorConfig, *,
             states.append(y1)
     except _StepCollapse:
         termination = "step_size_collapse"
-    return Trajectory(np.array(times), np.array(states), termination)
+    return Trajectory(np.array(times), np.array(states), termination, work=work)
 
 
 def _bisect_blow_up(t0, y0, f0, t1, y1, f1, radius):
@@ -279,6 +311,7 @@ def integrate_compactified(f: cpt.PolyField3, x0, cfg: IntegratorConfig, *,
     ball_states = [_north_ball(chart, z)]
     chart_log: list[tuple[float, int, int]] = []
     termination = "reached_t_end"
+    work = _new_work()
     if targets is not None:
         tgt = np.asarray(targets, dtype=float).reshape(-1, 3)
         was_near = _row_norm(ball_states[0] - tgt) <= convergence_radius
@@ -296,7 +329,7 @@ def integrate_compactified(f: cpt.PolyField3, x0, cfg: IntegratorConfig, *,
         return rhs
 
     try:
-        stepper = _Stepper(make_rhs(chart), 0.0, z, cfg)
+        stepper = _Stepper(make_rhs(chart), 0.0, z, cfg, work)
         while stepper.t < cfg.t_end:
             _, _, _, t1, z1, _ = stepper.step(cfg.t_end)
             u1 = _north_ball(chart, z1)
@@ -319,7 +352,8 @@ def integrate_compactified(f: cpt.PolyField3, x0, cfg: IntegratorConfig, *,
                 if cand != chart and abs(float(ysph[cand - 1])) >= switch_threshold + _SWITCH_HYSTERESIS:
                     chart_log.append((t1, chart, cand))
                     chart = cand
-                    stepper = _Stepper(make_rhs(chart), t1, cpt.chart_coords(ysph, chart), cfg)
+                    stepper = _Stepper(make_rhs(chart), t1, cpt.chart_coords(ysph, chart), cfg,
+                                       work)
     except _StepCollapse:
         termination = "step_size_collapse"
 
@@ -330,6 +364,7 @@ def integrate_compactified(f: cpt.PolyField3, x0, cfg: IntegratorConfig, *,
         chart_ids=chart_ids,
         chart_states=np.array(chart_states),
         chart_log=chart_log,
+        work=work,
     )
 
 
@@ -343,6 +378,8 @@ class LyapunovSpectrum:
     history: list[tuple[float, np.ndarray]] = dataclass_field(default_factory=list)
     max_gram_defect: float = 0.0
     note: str = ""
+    # integrator counters over all segments, as on Trajectory
+    work: dict = dataclass_field(default_factory=dict)
 
     def __post_init__(self):
         if np.any(np.diff(self.exponents) > 1e-12):
@@ -367,9 +404,11 @@ def lyapunov_spectrum(field, x0, cfg: IntegratorConfig, renorm_dt: float, *,
     """Lyapunov spectrum of the trajectory of ``field`` through x0.
 
     Co-integrates the base state with three tangent vectors under
-    v' = J(x) v, with J given by ``jacobian``, orthonormalizes the frame
-    every ``renorm_dt`` by modified Gram-Schmidt and averages the
-    accumulated log stretch factors over elapsed time.  Convergence is
+    v' = J(x) v, with J the ``(n, n)`` array ``jacobian`` returns,
+    orthonormalizes the frame every ``renorm_dt`` by modified Gram-Schmidt
+    and averages the accumulated log stretch factors over elapsed time.
+    Both ``field`` and ``jacobian`` must return inf/nan, not raise, at
+    non-finite input (see :func:`integrate_with_events`).  Convergence is
     declared once, after t = 10, the running averages move less than 1e-3
     componentwise between 0.75*t and t.  At most ``MAX_LYAPUNOV_SEGMENTS``
     segments of length ``renorm_dt`` may fit in ``cfg.t_end``.
@@ -388,12 +427,8 @@ def lyapunov_spectrum(field, x0, cfg: IntegratorConfig, renorm_dt: float, *,
 
     def ext_rhs(yext: np.ndarray) -> np.ndarray:
         x = yext[:n]
-        frame = yext[n:].reshape(3, n)
-        J = np.asarray(jacobian(x), dtype=float)
-        out = np.empty_like(yext)
-        out[:n] = np.asarray(field(x), dtype=float)
-        out[n:] = (frame @ J.T).ravel()
-        return out
+        J = jacobian(x)
+        return np.concatenate((field(x), yext[n:].reshape(3, n).dot(J.T).ravel()))
 
     frame = np.eye(3, n)
     state = np.concatenate([x0, frame.ravel()])
@@ -404,6 +439,7 @@ def lyapunov_spectrum(field, x0, cfg: IntegratorConfig, renorm_dt: float, *,
     max_defect = 0.0
     converged = False
     note = ""
+    work = _new_work()
 
     seg_cfg = IntegratorConfig(rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
                                max_step=min(cfg.max_step, renorm_dt),
@@ -411,7 +447,7 @@ def lyapunov_spectrum(field, x0, cfg: IntegratorConfig, renorm_dt: float, *,
     n_segments = int(math.ceil(cfg.t_end / renorm_dt))
     try:
         for _ in range(n_segments):
-            stepper = _Stepper(ext_rhs, 0.0, state, seg_cfg)
+            stepper = _Stepper(ext_rhs, 0.0, state, seg_cfg, work)
             while stepper.t < renorm_dt:
                 stepper.step(renorm_dt)
             state = stepper.y
@@ -457,6 +493,7 @@ def lyapunov_spectrum(field, x0, cfg: IntegratorConfig, renorm_dt: float, *,
         history=history,
         max_gram_defect=max_defect,
         note=note,
+        work=work,
     )
 
 

@@ -299,6 +299,12 @@ class TestInputBoundary:
         (["integrate", "--x0", "1,1,1", "--abs-tol", "inf", "--t-end", "0.1"], 1),
         (["infinity", "--seed-box", "1e8"], 1),
         (["infinity", "--seed-box", "1e300"], 1),
+        (["integrate", "--x0", "1,1,1", "--t-end", "0.1", "--blow-up-radius", "nan"], 1),
+        (["integrate", "--x0", "1,1,1", "--t-end", "0.1", "--blow-up-radius", "inf"], 1),
+        (["integrate", "--x0", "1,1,1", "--t-end", "0.1", "--blow-up-radius", "0"], 1),
+        (["integrate", "--x0", "1,1,1", "--t-end", "0.1", "--blow-up-radius", "-1"], 1),
+        (["integrate", "--x0", "1,1,1", "--t-end", "0.1", "--compactified",
+          "--blow-up-radius", "100"], 1),
     ])
     def test_rejected_input_gives_one_line(self, argv, code):
         proc = run_cli(argv)

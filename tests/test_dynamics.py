@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from flagflow import dynamics
 from flagflow.compactify import PolyField3, ball_projection, chart_coords, sphere_from_ambient
 from flagflow.compactify import compactified_field_array, compactified_jacobian, model_poly_field
+from flagflow.compactify import find_infinity_equilibria
+from flagflow.dynamics import _DP_A, _DP_E, _StepCollapse
 from flagflow.dynamics import (
     IntegratorConfig,
     Trajectory,
@@ -251,3 +254,253 @@ class TestDistanceToLine:
         assert dist.shape == (200,)
         per_point = np.array([distance_to_line_ball(p, line) for p in u])
         assert dist.tobytes() == per_point.tobytes()
+
+
+class _ParentStepper:
+    """Verbatim copy of the stepper that tested each stage for finiteness.
+
+    It is the reference for the bitwise tests below: the current stepper
+    must reproduce its accepted steps, step sizes and terminations.
+    """
+
+    def __init__(self, func, t0: float, y0: np.ndarray, cfg: IntegratorConfig):
+        self.func = func
+        self.cfg = cfg
+        self.t = float(t0)
+        self.y = np.array(y0, dtype=float)
+        with np.errstate(all="ignore"):
+            self.f = np.asarray(func(self.y), dtype=float)
+        if not np.all(np.isfinite(self.f)):
+            raise _StepCollapse("vector field not finite at the initial state")
+        # modest first step from plain magnitudes; the controller adapts fast
+        y_rms = float(np.linalg.norm(self.y)) / math.sqrt(self.y.size)
+        f_rms = float(np.linalg.norm(self.f)) / math.sqrt(self.y.size)
+        self.h = min(cfg.max_step, max(0.01 * (1.0 + y_rms) / (1.0 + f_rms), 2.0 * cfg.min_step))
+
+    def step(self, t_limit: float):
+        """Advance one accepted step, not beyond t_limit.
+
+        Returns (t_old, y_old, f_old, t_new, y_new, f_new).
+        Raises _StepCollapse when the controller drives h below min_step.
+        """
+        cfg = self.cfg
+        n = self.y.size
+        kmat = np.empty((7, n))
+        while True:
+            h = min(self.h, t_limit - self.t)
+            if h < cfg.min_step:
+                raise _StepCollapse(f"step size {h:.3e} fell below min_step at t={self.t:.6g}")
+            kmat[0] = self.f
+            ok = True
+            with np.errstate(all="ignore"):
+                for stage in range(1, 7):
+                    yi = self.y + h * (_DP_A[stage] @ kmat[:stage])
+                    fi = np.asarray(self.func(yi), dtype=float)
+                    kmat[stage] = fi
+                    if not np.all(np.isfinite(fi)):
+                        ok = False
+                        break
+            if ok:
+                y_new = yi  # stage 6 evaluates at the fifth-order solution (FSAL)
+                f_new = fi
+                err = h * (_DP_E @ kmat)
+                scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(self.y), np.abs(y_new))
+                with np.errstate(all="ignore"):
+                    err_norm = float(np.linalg.norm(err / scale) / math.sqrt(err.size))
+            if not ok or not math.isfinite(err_norm):
+                self.h = max(h * 0.2, cfg.min_step * 0.5)
+                if self.h < cfg.min_step:
+                    raise _StepCollapse(f"repeated rejected steps at t={self.t:.6g}")
+                continue
+            if err_norm <= 1.0:
+                out = (self.t, self.y, self.f, self.t + h, y_new, f_new)
+                self.t += h
+                self.y = y_new
+                self.f = f_new
+                factor = 0.9 * err_norm ** -0.2 if err_norm > 0.0 else 5.0
+                self.h = min(h * min(5.0, max(0.2, factor)), cfg.max_step)
+                return out
+            self.h = h * min(1.0, max(0.2, 0.9 * err_norm ** -0.2))
+
+
+class _ReferenceStepper(_ParentStepper):
+    # the integrators pass a work dict, which the reference does not keep
+    def __init__(self, func, t0, y0, cfg, work):
+        super().__init__(func, t0, y0, cfg)
+
+
+def nan_beyond_field(y):
+    # exponential growth that is undefined beyond sup-norm 3
+    y = np.asarray(y, dtype=float)
+    return np.full(3, np.nan) if np.max(np.abs(y)) > 3.0 else 1.0 * y
+
+
+def _with_reference(monkeypatch, run):
+    """(run() with the current stepper, run() with the reference stepper)."""
+    current = run()
+    monkeypatch.setattr(dynamics, "_Stepper", _ReferenceStepper)
+    reference = run()
+    monkeypatch.undo()
+    return current, reference
+
+
+def _assert_same_trajectory(a, b):
+    assert a.termination == b.termination
+    assert a.times.tobytes() == b.times.tobytes()
+    assert a.states.tobytes() == b.states.tobytes()
+    if b.chart_ids is not None:
+        assert a.chart_ids == b.chart_ids
+        assert a.chart_states.tobytes() == b.chart_states.tobytes()
+        assert a.chart_log == b.chart_log
+
+
+class TestStepperMatchesReference:
+    @pytest.mark.parametrize("field, x0, t_end, radius, termination", [
+        (ricci_field(), (1.0, 2.0, 3.0), 5.0, None, "step_size_collapse"),
+        (ricci_field(), (1.0, 1.0, 1.0), 5.0, None, "step_size_collapse"),
+        (poly_rhs, (1.0, 1.0, 1.0), 1.0, 1e6, "blow_up_event"),
+        (poly_rhs, (1.0, 1.0, 1.0), 1.0, None, "step_size_collapse"),
+        (nan_beyond_field, (1.0, 0.5, 0.2), 5.0, None, "step_size_collapse"),
+    ])
+    def test_integrate_with_events_bitwise(self, monkeypatch, field, x0, t_end, radius,
+                                           termination):
+        cur, ref = _with_reference(monkeypatch, lambda: integrate_with_events(
+            field, x0, IntegratorConfig(t_end=t_end), blow_up_radius=radius))
+        assert ref.termination == termination
+        _assert_same_trajectory(cur, ref)
+
+    def test_compactified_with_targets_bitwise(self, monkeypatch):
+        # a cylinder_basin run: tube start near ray 1, census targets
+        cfg = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-11, max_step=0.25, t_end=200.0)
+        targets = [e.direction for e in find_infinity_equilibria(model_poly_field())]
+        x0 = 0.6 * invariant_directions()[0] + np.array([0.02, -0.01, 0.015])
+        cur, ref = _with_reference(monkeypatch, lambda: integrate_compactified(
+            model_poly_field(), x0, cfg, targets=targets, convergence_radius=1e-5))
+        assert ref.termination == "converged_to_point"
+        _assert_same_trajectory(cur, ref)
+
+    @pytest.mark.parametrize("threshold", [0.3, 0.5])
+    def test_chart_switching_bitwise(self, monkeypatch, threshold):
+        cur, ref = _with_reference(monkeypatch, lambda: integrate_compactified(
+            linear_diag_field(), (5.0, 0.5, 0.5), IntegratorConfig(t_end=3.0),
+            switch_threshold=threshold))
+        assert ref.chart_log
+        _assert_same_trajectory(cur, ref)
+
+    def test_lyapunov_line_4_bitwise(self, monkeypatch):
+        field = model_poly_field()
+        z0 = chart_coords(sphere_from_ambient(2.0 * invariant_directions()[3]), 1)
+        cfg = IntegratorConfig(rel_tol=1e-7, abs_tol=1e-10, max_step=0.1, t_end=20.0)
+        cur, ref = _with_reference(monkeypatch, lambda: lyapunov_spectrum(
+            lambda z: compactified_field_array(field, 1, z), z0, cfg, 0.1,
+            jacobian=lambda z: compactified_jacobian(field, 1, z)))
+        assert cur.exponents.tobytes() == ref.exponents.tobytes()
+        assert (cur.t_used, cur.converged, cur.max_gram_defect, cur.note) == \
+            (ref.t_used, ref.converged, ref.max_gram_defect, ref.note)
+        assert len(cur.history) == len(ref.history) == 200
+        for (tc, rc), (tr, rr) in zip(cur.history, ref.history):
+            assert tc == tr and rc.tobytes() == rr.tobytes()
+
+    def test_nan_stage_rejections_follow_the_reference(self):
+        # drive both steppers through trial steps that turn non-finite before
+        # their last stage; every accepted t, y, f and every next h must agree
+        cfg = IntegratorConfig(t_end=5.0)
+
+        def drive(make):
+            calls = [0]
+
+            def counted(y):
+                calls[0] += 1
+                return nan_beyond_field(y)
+
+            stepper = make(counted)
+            steps = []
+            with pytest.raises(_StepCollapse):
+                while stepper.t < cfg.t_end:
+                    before = calls[0]
+                    stepper.step(cfg.t_end)
+                    steps.append(((stepper.t, stepper.h, stepper.y.tobytes(), stepper.f.tobytes()),
+                                  calls[0] - before))
+            return [s for s, _ in steps], [c for _, c in steps], stepper
+
+        y0 = (1.0, 0.5, 0.2)
+        cur, _, stepper = drive(lambda f: dynamics._Stepper(f, 0.0, y0, cfg, dynamics._new_work()))
+        ref, ref_calls, _ = drive(lambda f: _ParentStepper(f, 0.0, y0, cfg))
+        assert cur == ref
+        # the reference broke off some trial step before its sixth stage
+        assert any(c % 6 for c in ref_calls)
+        assert stepper.work["rejected"] > 0
+
+
+class TestDotForms:
+    # the stepper and the variational field use ndarray.dot where the
+    # reference stepper used ``@`` and np.linalg.norm
+
+    def test_error_norm_equals_linalg_norm_bitwise(self):
+        rng = np.random.default_rng(11)
+        for n in (3, 12):
+            for _ in range(2000):
+                e = rng.standard_normal(n) * 10.0 ** rng.uniform(-12, 3)
+                assert math.sqrt(float(e.dot(e))) / math.sqrt(n) == \
+                    float(np.linalg.norm(e) / math.sqrt(n))
+
+    def test_dot_equals_matmul_bitwise(self):
+        rng = np.random.default_rng(12)
+        for _ in range(2000):
+            for rows in range(1, 8):
+                k = rng.standard_normal((7, 12)) * 10.0 ** rng.uniform(-5, 5, size=(7, 1))
+                a = rng.standard_normal(rows)
+                assert a.dot(k[:rows]).tobytes() == (a @ k[:rows]).tobytes()
+            frame, jac = rng.standard_normal((3, 3)), rng.standard_normal((3, 3))
+            assert frame.dot(jac.T).tobytes() == (frame @ jac.T).tobytes()
+
+
+class TestWorkCounters:
+    @staticmethod
+    def _check(work, accepted=None):
+        assert work["evaluations"] == work["steppers"] + 6 * (work["accepted"] + work["rejected"])
+        if accepted is not None:
+            assert work["accepted"] == accepted
+
+    def test_integrate_with_events(self):
+        for field, x0, radius in ((ricci_field(), (1.0, 2.0, 3.0), None),
+                                  (poly_rhs, (1.0, 1.0, 1.0), 1e6),
+                                  (nan_beyond_field, (1.0, 0.5, 0.2), None)):
+            calls = []
+
+            def counted(y, field=field):
+                calls.append(1)
+                return field(y)
+
+            tr = integrate_with_events(counted, x0, IntegratorConfig(t_end=5.0),
+                                       blow_up_radius=radius)
+            assert tr.work["steppers"] == 1
+            assert tr.work["evaluations"] == len(calls)
+            self._check(tr.work, accepted=len(tr.times) - 1)
+        assert tr.work["rejected"] > 0
+
+    def test_compactified_counts_every_chart(self):
+        tr = integrate_compactified(linear_diag_field(), (5.0, 0.5, 0.5),
+                                    IntegratorConfig(t_end=3.0))
+        assert tr.work["steppers"] == len(tr.chart_log) + 1 >= 2
+        self._check(tr.work, accepted=len(tr.times) - 1)
+
+    def test_lyapunov_counts_every_segment(self):
+        A = np.diag([-1.0, -2.0, -3.0])
+        spec = lyapunov_spectrum(lambda x: A @ x, (0.3, 0.3, 0.3),
+                                 IntegratorConfig(t_end=3.0), 0.1, jacobian=lambda x: A)
+        assert spec.work["steppers"] == len(spec.history) == 30
+        self._check(spec.work)
+
+    def test_defaults_to_empty(self):
+        tr = Trajectory(times=np.array([0.0]), states=np.zeros((1, 3)),
+                        termination="reached_t_end")
+        assert tr.work == {}
+
+
+class TestBlowUpRadius:
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_non_positive_or_nonfinite(self, radius):
+        with pytest.raises(ValueError):
+            integrate_with_events(poly_rhs, (1.0, 1.0, 1.0), IntegratorConfig(t_end=0.1),
+                                  blow_up_radius=radius)
