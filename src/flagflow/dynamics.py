@@ -143,11 +143,12 @@ class _Stepper:
         work["evaluations"] += 1
         with np.errstate(all="ignore"):
             self.f = np.asarray(func(self.y), dtype=float)
+            # modest first step from plain magnitudes; the controller adapts
+            # fast, and a finite field whose norm overflows gives h = 2 * min_step
+            y_rms = float(np.linalg.norm(self.y)) / math.sqrt(self.y.size)
+            f_rms = float(np.linalg.norm(self.f)) / math.sqrt(self.y.size)
         if not np.all(np.isfinite(self.f)):
             raise _StepCollapse("vector field not finite at the initial state")
-        # modest first step from plain magnitudes; the controller adapts fast
-        y_rms = float(np.linalg.norm(self.y)) / math.sqrt(self.y.size)
-        f_rms = float(np.linalg.norm(self.f)) / math.sqrt(self.y.size)
         self.h = min(cfg.max_step, max(0.01 * (1.0 + y_rms) / (1.0 + f_rms), 2.0 * cfg.min_step))
 
     def step(self, t_limit: float):
@@ -235,9 +236,12 @@ def integrate_with_events(field, x0, cfg: IntegratorConfig, *,
     A trial step evaluates all six Dormand-Prince stages and is rejected
     when any of them is not finite, so ``field`` must return inf/nan, not
     raise, where it is undefined.
+    At most ``MAX_PLANNED_STEPS`` steps of ``cfg.max_step`` may fit in
+    ``cfg.t_end``.
     """
     if blow_up_radius is not None and not (math.isfinite(blow_up_radius) and blow_up_radius > 0):
         raise ValueError("blow_up_radius must be positive and finite")
+    _check_planned_steps(cfg.t_end / cfg.max_step, "t_end / max_step")
     x0 = np.asarray(x0, dtype=float)
     times = [0.0]
     states = [x0.copy()]
@@ -277,6 +281,17 @@ def _bisect_blow_up(t0, y0, f0, t1, y1, f1, radius):
     return te, _hermite(t0, y0, f0, t1, y1, f1, te)
 
 
+# fixed-length steps one run may plan: t_end / max_step for an integration,
+# and for a Lyapunov spectrum its renormalisation segments times the
+# max-length steps in each.  Every config in the package plans at most 5,000.
+MAX_PLANNED_STEPS = 100_000
+
+
+def _check_planned_steps(steps: float, what: str) -> None:
+    if not steps <= MAX_PLANNED_STEPS:
+        raise ValueError(f"{what} must not exceed {MAX_PLANNED_STEPS} steps, got {steps:.3g}")
+
+
 def _north_ball(chart: int, z: np.ndarray) -> np.ndarray:
     """Ball coordinates of the northern-hemisphere point a chart state tracks."""
     u = cpt.ball_from_chart(chart, z)
@@ -299,8 +314,16 @@ def integrate_compactified(f: cpt.PolyField3, x0, cfg: IntegratorConfig, *,
     a hysteresis of 0.05.  The trajectory is reported in ball coordinates,
     with the chart bookkeeping kept alongside.  When ``targets`` (ball points) are
     given, the run stops with ``converged_to_point`` once a full step stays
-    within ``convergence_radius`` of one of them.
+    within ``convergence_radius`` of one of them.  The step cap is that of
+    :func:`integrate_with_events`.
+
+    The equator z3 = 0 is invariant, so an exact solution never crosses
+    it; a trial step that does is rejected as if the field were not
+    finite there.  Without that, once |z3| is far below ``abs_tol`` the
+    error control no longer sees z3, a step past the stability interval
+    of its decay flips its sign, and the run tracks the antipodal point.
     """
+    _check_planned_steps(cfg.t_end / cfg.max_step, "t_end / max_step")
     y = cpt.sphere_from_ambient(np.asarray(x0, dtype=float))
     chart = cpt.best_chart(y)
     z = cpt.chart_coords(y, chart)
@@ -320,16 +343,21 @@ def integrate_compactified(f: cpt.PolyField3, x0, cfg: IntegratorConfig, *,
     # northern point at z3 < 0 needs the antipodal sign (-1)^(d+1)
     flip_south = f.degree % 2 == 0
 
-    def make_rhs(c):
+    def make_rhs(c, z0):
+        # z0 is the stepper's start; a trial point on the other side of the
+        # equator gets NaN, which rejects the step.  Python floats and bools
+        # keep the test off numpy's slow scalar comparisons.
+        south = z0.item(2) < 0.0
+
         def rhs(state):
+            if (state.item(2) < 0.0) != south:
+                return np.full(3, np.nan)
             g = cpt.compactified_field_array(f, c, state)
-            if flip_south and state[2] < 0.0:
-                return -g
-            return g
+            return -g if flip_south and south else g
         return rhs
 
     try:
-        stepper = _Stepper(make_rhs(chart), 0.0, z, cfg, work)
+        stepper = _Stepper(make_rhs(chart, z), 0.0, z, cfg, work)
         while stepper.t < cfg.t_end:
             _, _, _, t1, z1, _ = stepper.step(cfg.t_end)
             u1 = _north_ball(chart, z1)
@@ -352,8 +380,8 @@ def integrate_compactified(f: cpt.PolyField3, x0, cfg: IntegratorConfig, *,
                 if cand != chart and abs(float(ysph[cand - 1])) >= switch_threshold + _SWITCH_HYSTERESIS:
                     chart_log.append((t1, chart, cand))
                     chart = cand
-                    stepper = _Stepper(make_rhs(chart), t1, cpt.chart_coords(ysph, chart), cfg,
-                                       work)
+                    z_new = cpt.chart_coords(ysph, chart)
+                    stepper = _Stepper(make_rhs(chart, z_new), t1, z_new, cfg, work)
     except _StepCollapse:
         termination = "step_size_collapse"
 
@@ -394,10 +422,6 @@ _LYAPUNOV_MIN_TIME = 10.0
 # sup-norm radius beyond which the base trajectory counts as diverged
 _DIVERGENCE_GUARD = 1e3
 
-# renormalisation segments one spectrum may plan; the default
-# t_max / renorm_dt = 500 / 0.1 plans 5,000
-MAX_LYAPUNOV_SEGMENTS = 100_000
-
 
 def lyapunov_spectrum(field, x0, cfg: IntegratorConfig, renorm_dt: float, *,
                       jacobian) -> LyapunovSpectrum:
@@ -410,8 +434,9 @@ def lyapunov_spectrum(field, x0, cfg: IntegratorConfig, renorm_dt: float, *,
     Both ``field`` and ``jacobian`` must return inf/nan, not raise, at
     non-finite input (see :func:`integrate_with_events`).  Convergence is
     declared once, after t = 10, the running averages move less than 1e-3
-    componentwise between 0.75*t and t.  At most ``MAX_LYAPUNOV_SEGMENTS``
-    segments of length ``renorm_dt`` may fit in ``cfg.t_end``.
+    componentwise between 0.75*t and t.  The ceil(t_end / renorm_dt)
+    segments, each of at least one step and of steps no longer than
+    ``cfg.max_step``, may plan at most ``MAX_PLANNED_STEPS`` steps.
 
     If the base trajectory diverges (leaves the sup-norm ball of radius
     1e3, or collapses the step size) before convergence, the partial
@@ -419,9 +444,11 @@ def lyapunov_spectrum(field, x0, cfg: IntegratorConfig, renorm_dt: float, *,
     """
     if not (math.isfinite(renorm_dt) and renorm_dt > 0):
         raise ValueError("renorm_dt must be positive and finite")
-    if cfg.t_end / renorm_dt > MAX_LYAPUNOV_SEGMENTS:
-        raise ValueError(f"cfg.t_end / renorm_dt must not exceed {MAX_LYAPUNOV_SEGMENTS} "
-                         "renormalisation segments")
+    segments = cfg.t_end / renorm_dt
+    # the first test keeps ceil() away from an infinite ratio
+    _check_planned_steps(segments, "t_end / renorm_dt")
+    _check_planned_steps(math.ceil(segments) * max(1.0, renorm_dt / cfg.max_step),
+                         "segments times renorm_dt / max_step")
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
 
@@ -444,7 +471,7 @@ def lyapunov_spectrum(field, x0, cfg: IntegratorConfig, renorm_dt: float, *,
     seg_cfg = IntegratorConfig(rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
                                max_step=min(cfg.max_step, renorm_dt),
                                t_end=renorm_dt, min_step=cfg.min_step)
-    n_segments = int(math.ceil(cfg.t_end / renorm_dt))
+    n_segments = math.ceil(segments)
     try:
         for _ in range(n_segments):
             stepper = _Stepper(ext_rhs, 0.0, state, seg_cfg, work)

@@ -1,13 +1,20 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
+import warnings
 import xml.dom.minidom
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from flagflow import cli
 from flagflow.cli import run
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -17,9 +24,9 @@ def read(path):
     return path.read_bytes()
 
 
-def run_cli(argv):
+def run_cli(argv, **extra_env):
     """Run the CLI in a fresh interpreter, capturing its exit code and stderr."""
-    env = dict(os.environ)
+    env = dict(os.environ, **extra_env)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return subprocess.run([sys.executable, "-m", "flagflow.cli", *argv], env=env,
@@ -218,6 +225,29 @@ class TestBasinCommand:
         assert run(["basin"]) == 1
 
 
+class TestGlobalFlags:
+    """--out, --format and --seed may come before or after the subcommand."""
+
+    def test_out_before_subcommand(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert run(["--out", str(out), "ricci", "--metric", "1,2,1"]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text().splitlines()[0] == "r12,r13,r23"
+
+    def test_seed_before_subcommand(self, capsys):
+        assert run(["--seed", "3", "basin", "--line", "2", "--samples", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 3
+
+    def test_format_before_subcommand(self, capsys):
+        assert run(["--format", "json", "verify", "--checks", "lines"]) == 0
+        assert json.loads(capsys.readouterr().out)["checks"][0]["name"] == "lines"
+
+    def test_value_after_subcommand_wins(self, capsys):
+        assert run(["--seed", "3", "basin", "--line", "2", "--samples", "2",
+                    "--seed", "5"]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 5
+
+
 class TestConfigFile:
     def test_config_supplies_defaults(self, tmp_path, capsys):
         cfg = tmp_path / "flagflow.cfg"
@@ -255,6 +285,19 @@ class TestConfigFile:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "bad value" in captured.err
+
+    def test_verify_flags_are_config_keys(self, tmp_path, capsys):
+        cfg = tmp_path / "flagflow.cfg"
+        cfg.write_text("einstein = yes\n")
+        assert run(["verify", "--config", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert out.count("PASS") == 1 and "Einstein" in out
+
+    def test_negative_seed_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "flagflow.cfg"
+        cfg.write_text("seed = -3\n")
+        assert run(["basin", "--line", "2", "--samples", "2", "--config", str(cfg)]) == 1
+        assert "bad value" in capsys.readouterr().err
 
     def test_missing_file_exits_1(self, tmp_path):
         assert run(["ricci", "--metric", "1,1,1",
@@ -305,6 +348,11 @@ class TestInputBoundary:
         (["integrate", "--x0", "1,1,1", "--t-end", "0.1", "--blow-up-radius", "-1"], 1),
         (["integrate", "--x0", "1,1,1", "--t-end", "0.1", "--compactified",
           "--blow-up-radius", "100"], 1),
+        (["verify", "--checks", "reparam", "--seed", "-1"], 1),
+        (["integrate", "--compactified", "--x0", "0,0,0"], 1),
+        (["plot", "--x0", "0,0,0"], 1),
+        (["integrate", "--system", "poly", "--x0=-1,-1,-1", "--t-end", "1e300"], 1),
+        (["lyapunov", "--lines", "2", "--renorm-dt", "1e300"], 1),
     ])
     def test_rejected_input_gives_one_line(self, argv, code):
         proc = run_cli(argv)
@@ -314,6 +362,116 @@ class TestInputBoundary:
         prefix = "flagflow: error: " if code == 1 else "flagflow: numerical failure: "
         assert proc.stderr.startswith(prefix)
         assert proc.stdout == ""
+
+    def test_negative_seed_from_environment(self):
+        proc = run_cli(["verify", "--checks", "reparam"], FLAGFLOW_SEED="-2")
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [proc.stderr.strip()]
+        assert proc.stderr.startswith("flagflow: error: FLAGFLOW_SEED")
+        assert proc.stdout == ""
+
+
+# Fuzzing the boundary: every option of a command's table gets a cheap valid
+# value, a hostile token, or (where its default is cheap) nothing at all.
+HOSTILE = st.sampled_from(["nan", "inf", "-1", "0", "1e300", "abc", ""])
+
+
+def _reals(lo, hi):
+    return st.floats(lo, hi).map(repr)
+
+
+def _triple(lo, hi):
+    return st.lists(st.floats(lo, hi), min_size=3, max_size=3).map(
+        lambda v: ",".join(map(repr, v)))
+
+
+def _subset(names, max_size):
+    return st.lists(st.sampled_from(names), min_size=1, max_size=max_size,
+                    unique=True).map(",".join)
+
+
+CHEAP = {
+    "seed": st.integers(0, 2**32).map(str),
+    "format": st.sampled_from(["csv", "json"]),
+    "metric": _triple(0.1, 5.0),
+    "system": st.sampled_from(["ricci", "poly"]),
+    "x0": st.one_of(_triple(0.05, 2.5), _triple(-2.0, 2.0)),
+    "t_end": _reals(0.01, 1.0),
+    "rel_tol": _reals(1e-10, 1e-4),
+    "abs_tol": _reals(1e-13, 1e-6),
+    "max_step": _reals(0.05, 1.0),
+    "min_step": _reals(1e-12, 1e-6),
+    "blow_up_radius": _reals(1.0, 1e6),
+    "grid": st.integers(32, 48).map(str),
+    "seed_box": _reals(0.5, 16.0),
+    "lines": _subset(["1", "2", "3", "4"], 2),
+    "charts": _subset(["1", "2", "3"], 2),
+    "renorm_dt": _reals(0.05, 1.0),
+    "t_max": _reals(0.1, 5.0),
+    "checks": _subset(["lines", "einstein", "reparam", "no-equilibria"], 4),
+    "tangency_tol": _reals(0.0, 1.0),
+    "einstein_tol": _reals(0.0, 1.0),
+    "reparam_tol": _reals(0.0, 1.0),
+    "scan_resolution": st.integers(50, 100).map(str),
+    "line": st.integers(1, 4).map(str),
+    "epsilon": _reals(0.01, 0.1),
+    "delta": _reals(0.5, 3.0),
+    "samples": st.integers(1, 3).map(str),
+}
+# options whose default is expensive are always given
+COSTLY_DEFAULT = {"t_end", "t_max", "samples", "scan_resolution"}
+FUZZED_GLOBALS = {k: v for k, v in cli._GLOBALS.items() if k != "out"}
+
+
+def _fuzz_args(draw, table):
+    argv = []
+    for key, (_, _, kwargs) in table.items():
+        flag = "--" + key.replace("_", "-")
+        if kwargs.get("action") == "store_true":
+            argv += [flag] if draw(st.booleans()) else []
+            continue
+        pick = draw(st.integers(0, 9))  # 8 hostile, 9 omitted, else valid
+        if pick == 9 and key not in COSTLY_DEFAULT:
+            continue
+        if pick == 8:
+            values = [draw(HOSTILE)]
+        elif kwargs.get("action") == "append":
+            values = draw(st.lists(CHEAP[key], min_size=1, max_size=2))
+        else:
+            values = [draw(CHEAP[key])]
+        argv += [f"{flag}={v}" for v in values]
+    return argv
+
+
+class TestFuzzedBoundary:
+    def test_every_option_has_a_cheap_value(self):
+        for command in cli._COMMANDS.values():
+            for key, (_, _, kwargs) in {**FUZZED_GLOBALS, **command.options}.items():
+                assert key in CHEAP or kwargs.get("action") == "store_true", key
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_fuzzed_options_end_in_a_documented_exit(self, data):
+        name = data.draw(st.sampled_from(sorted(cli._COMMANDS)))
+        globals_ = _fuzz_args(data.draw, FUZZED_GLOBALS)
+        options = _fuzz_args(data.draw, cli._COMMANDS[name].options)
+        argv = (globals_ + [name] if data.draw(st.booleans()) else [name] + globals_) + options
+        out, err = io.StringIO(), io.StringIO()
+        # a numpy warning would print lines of its own next to the exit line
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run(argv)
+        assert code in (0, 1, 2, 3), argv
+        if code == 0:
+            # float repr and JSON spellings; the SVG prose says "at infinity"
+            assert not re.search(r"(?<![A-Za-z])(nan|NaN|-?inf|-?Infinity)(?![A-Za-z])",
+                                 out.getvalue()), argv
+        if code == 1:
+            assert out.getvalue() == "", argv
+            assert err.getvalue().startswith("flagflow: error: "), argv
+            assert err.getvalue().count("\n") == 1, argv
 
 
 class TestHelp:

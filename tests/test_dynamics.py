@@ -17,7 +17,7 @@ from flagflow.dynamics import (
     lyapunov_spectrum,
     ricci_field,
 )
-from flagflow.dynamics import MAX_LYAPUNOV_SEGMENTS
+from flagflow.dynamics import MAX_PLANNED_STEPS
 from flagflow.model import flow_rhs, invariant_directions, poly_rhs
 
 
@@ -103,6 +103,21 @@ class TestIntegrate:
                        termination="no_such_reason")
 
 
+class TestStepCap:
+    @pytest.mark.parametrize("integrate, field", [
+        (integrate_with_events, poly_rhs),
+        (integrate_compactified, model_poly_field()),
+    ])
+    def test_rejects_runs_planning_too_many_steps(self, integrate, field):
+        # from (-1,-1,-1) the flow decays to the origin at max_step, so
+        # nothing but the cap ends a run to t_end = 1e300
+        with pytest.raises(ValueError):
+            integrate(field, (-1.0, -1.0, -1.0), IntegratorConfig(t_end=1e300))
+        cfg = IntegratorConfig(max_step=0.5, t_end=0.5 * MAX_PLANNED_STEPS * 1.01)
+        with pytest.raises(ValueError):
+            integrate(field, (-1.0, -1.0, -1.0), cfg)
+
+
 class TestEvents:
     def test_blow_up_event_location(self):
         # sup-norm hits 100 on the diagonal at t = (1 - 1/100)/5 = 0.198
@@ -165,6 +180,17 @@ class TestCompactifiedIntegration:
         assert cmp_.termination == "converged_to_point"
         assert np.linalg.norm(ball_projection(amb.final_state) - cmp_.final_state) <= 1e-4
 
+    @pytest.mark.parametrize("t_end", [20.0, 140.0])
+    def test_equator_is_never_crossed(self, t_end):
+        # once |z3| is far below abs_tol a full max_step flips the sign of z3;
+        # the run must stay on its side of the invariant equator and end at
+        # the diagonal attractor, not at the antipodal repeller
+        tr = integrate_compactified(model_poly_field(), (1.2, 1.2, 1.2),
+                                    IntegratorConfig(t_end=t_end))
+        assert tr.termination == "reached_t_end"
+        assert np.all(tr.chart_states[:, 2] >= 0.0)
+        assert np.linalg.norm(tr.final_state - invariant_directions()[1]) <= 1e-6
+
     def test_csv_bookkeeping_fields(self):
         field = model_poly_field()
         tr = integrate_compactified(field, (1.2, 1.2, 1.2), IntegratorConfig(t_end=1.0))
@@ -220,9 +246,17 @@ class TestLyapunovSpectrum:
             lyapunov_spectrum(decay_field, (1.0, 0.0, 0.0),
                               IntegratorConfig(t_end=1.0), 0.0, jacobian=lambda x: -np.eye(3))
 
+    @pytest.mark.parametrize("renorm_dt, t_end", [(1e300, 5.0), (2e4, 2e4)])
+    def test_rejects_too_many_steps_in_long_segments(self, renorm_dt, t_end):
+        # one segment of length renorm_dt runs renorm_dt / max_step steps
+        with pytest.raises(ValueError):
+            lyapunov_spectrum(decay_field, (1.0, 0.0, 0.0),
+                              IntegratorConfig(t_end=t_end, max_step=0.1), renorm_dt,
+                              jacobian=lambda x: -np.eye(3))
+
     def test_rejects_too_many_segments(self):
         renorm_dt = 0.1
-        cfg = IntegratorConfig(t_end=2.0 * MAX_LYAPUNOV_SEGMENTS * renorm_dt)
+        cfg = IntegratorConfig(t_end=2.0 * MAX_PLANNED_STEPS * renorm_dt)
         with pytest.raises(ValueError):
             lyapunov_spectrum(decay_field, (1.0, 0.0, 0.0), cfg, renorm_dt,
                               jacobian=lambda x: -np.eye(3))
