@@ -37,7 +37,7 @@ print("rescaling identity defect  :", reparam_check((0.7, 1.9, 3.2)))
 
 from flagflow import IntegratorConfig, integrate_with_events, ricci_field
 
-tr = integrate_with_events(ricci_field(), (1.0, 1.0, 1.0), IntegratorConfig(t_end=0.3))
+tr = integrate_with_events(ricci_field, (1.0, 1.0, 1.0), IntegratorConfig(t_end=0.3))
 print("\nmetric flow at t=0.3   :", tr.final_state[0], " closed form:", np.sqrt(1 - 0.5))
 tr = integrate_with_events(poly_rhs, (1.0, 1.0, 1.0), IntegratorConfig(t_end=0.1))
 print("quadratic flow at t=0.1:", tr.final_state[0], " closed form:", 1 / (1 - 0.5))

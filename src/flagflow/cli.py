@@ -49,6 +49,11 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def _json(payload: dict) -> str:
+    """A JSON document: the schema version first, then ``payload``."""
+    return json.dumps({"schema_version": SCHEMA_VERSION, **payload}, indent=2) + "\n"
+
+
 # Option casts: each turns a flag or config value into the option's value
 # and raises ValueError to reject it.  A store_true flag arrives as True.
 
@@ -207,12 +212,8 @@ def _cmd_ricci(opts) -> tuple[str, int]:
         raise FloatingPointError(f"Ricci components of {tuple(triple.tolist())} are not "
                                  "finite: " + ",".join(_fmt(v) for v in r))
     if opts["format"] == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "metric": {"l12": triple[0], "l13": triple[1], "l23": triple[2]},
-            "ricci": {"r12": r.r12, "r13": r.r13, "r23": r.r23},
-        }
-        return json.dumps(payload, indent=2) + "\n", 0
+        return _json({"metric": {"l12": triple[0], "l13": triple[1], "l23": triple[2]},
+                      "ricci": {"r12": r.r12, "r13": r.r13, "r23": r.r23}}), 0
     return "r12,r13,r23\n" + ",".join(_fmt(v) for v in r) + "\n", 0
 
 
@@ -244,7 +245,7 @@ def _cmd_integrate(opts) -> tuple[str, int]:
     if compactified:
         traj = integrate_compactified(cpt.model_poly_field(), x0, cfg)
     else:
-        field = ricci_field() if opts["system"] == "ricci" else model.poly_rhs
+        field = ricci_field if opts["system"] == "ricci" else model.poly_rhs
         traj = integrate_with_events(field, x0, cfg,
                                      blow_up_radius=1e6 if radius is None else radius)
     code = 0
@@ -258,8 +259,7 @@ def _cmd_integrate(opts) -> tuple[str, int]:
 def _cmd_infinity(opts) -> tuple[str, int]:
     cfg = cpt.SearchConfig(grid_resolution=opts["grid"], seed_box=opts["seed_box"])
     eqs = cpt.find_infinity_equilibria(cpt.model_poly_field(), cfg)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
+    return _json({
         "equilibria": [
             {
                 "chart": cpt.CHART_NAMES[e.chart],
@@ -272,8 +272,7 @@ def _cmd_infinity(opts) -> tuple[str, int]:
             }
             for e in eqs
         ],
-    }
-    return json.dumps(payload, indent=2) + "\n", 0
+    }), 0
 
 
 def _cmd_lyapunov(opts) -> tuple[str, int]:
@@ -335,14 +334,10 @@ def _cmd_verify(opts) -> tuple[str, int]:
 
     code = 0 if all(ok for _, ok, _, _, _ in results) else 3
     if opts["format"] == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "checks": [
-                {"name": n, "passed": ok, "value": v, "threshold": tol, "detail": detail}
-                for n, ok, v, tol, detail in results
-            ],
-        }
-        return json.dumps(payload, indent=2) + "\n", code
+        return _json({"checks": [
+            {"name": n, "passed": ok, "value": v, "threshold": tol, "detail": detail}
+            for n, ok, v, tol, detail in results
+        ]}), code
     text = [f"{'PASS' if ok else 'FAIL'} {n}: {detail}: value {_fmt(v)} (threshold {_fmt(tol)})"
             for n, ok, v, tol, detail in results]
     return "\n".join(text) + "\n", code
@@ -351,9 +346,7 @@ def _cmd_verify(opts) -> tuple[str, int]:
 def _cmd_basin(opts) -> tuple[str, int]:
     report = experiments.cylinder_basin(opts["line"], opts["epsilon"], opts["delta"],
                                         opts["samples"], opts["seed"])
-    payload = {"schema_version": SCHEMA_VERSION}
-    payload.update(report.to_dict())
-    return json.dumps(payload, indent=2) + "\n", 0
+    return _json(report.to_dict()), 0
 
 
 def _cmd_plot(opts) -> tuple[str, int]:
@@ -502,8 +495,13 @@ def run(argv=None) -> int:
         print(f"flagflow: error: {exc}", file=sys.stderr)
         return 1
     if opts["out"]:
-        with open(opts["out"], "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(opts["out"], "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"flagflow: error: cannot write {opts['out']}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
     return code

@@ -53,7 +53,6 @@ __all__ = [
     "best_chart",
     "compactified_field_array",
     "compactified_jacobian",
-    "equator_field",
     "chart_equator_roots",
     "classify_equilibrium",
     "find_infinity_equilibria",
@@ -210,12 +209,6 @@ def compactified_jacobian(f: PolyField3, chart: int, z) -> np.ndarray:
     )
 
 
-def equator_field(f: PolyField3, chart: int, z1: float, z2: float) -> np.ndarray:
-    """Restriction of the compactified field to the equator (first two components)."""
-    g = compactified_field_array(f, chart, (z1, z2, 0.0))
-    return g[:2]
-
-
 # the Newton search keeps several (grid^2, 2) float arrays alive; 512 bounds
 # them at a few MB each
 MAX_GRID_RESOLUTION = 512
@@ -225,6 +218,11 @@ MAX_GRID_RESOLUTION = 512
 MAX_SEED_BOX = 1e6
 
 _MAX_NEWTON_ITER = 40
+
+# a settled Newton point is a root when its equator residual is below
+# _NEWTON_TOL; roots (and census directions) closer than _DEDUPE_RADIUS merge
+_NEWTON_TOL = 1e-12
+_DEDUPE_RADIUS = 1e-6
 
 # eigenvalues with |Re| at or below this count as nonhyperbolic
 _HYPER_TOL = 1e-9
@@ -236,15 +234,12 @@ class SearchConfig:
 
     grid_resolution: int = 48  # seeds per axis, in [32, MAX_GRID_RESOLUTION]
     seed_box: float = 8.0
-    newton_tol: float = 1e-12
-    dedupe_radius: float = 1e-6
 
     def __post_init__(self):
         if not 32 <= self.grid_resolution <= MAX_GRID_RESOLUTION:
             raise ValueError(f"grid_resolution must lie in [32, {MAX_GRID_RESOLUTION}]")
-        if not all(math.isfinite(v) and v > 0
-                   for v in (self.seed_box, self.newton_tol, self.dedupe_radius)):
-            raise ValueError("seed_box, newton_tol and dedupe_radius must be positive and finite")
+        if not (math.isfinite(self.seed_box) and self.seed_box > 0):
+            raise ValueError("seed_box must be positive and finite")
         if self.seed_box > MAX_SEED_BOX:
             raise ValueError(f"seed_box must not exceed {MAX_SEED_BOX:g}")
 
@@ -261,7 +256,7 @@ class InfinityEquilibrium:
     first_octant: bool
 
     def residual(self, f: PolyField3) -> float:
-        return float(np.linalg.norm(equator_field(f, self.chart, self.z[0], self.z[1])))
+        return float(np.linalg.norm(compactified_field_array(f, self.chart, self.z)[:2]))
 
 
 def _batch_equator_field(f: PolyField3, chart: int, pts: np.ndarray) -> np.ndarray:
@@ -279,22 +274,21 @@ def _batch_equator_field(f: PolyField3, chart: int, pts: np.ndarray) -> np.ndarr
 
 
 def _collect_roots(f: PolyField3, chart: int, candidates: np.ndarray,
-                   roots: list[np.ndarray], cfg: SearchConfig) -> None:
+                   roots: list[np.ndarray]) -> None:
     """Append the new distinct roots among settled Newton ``candidates`` to ``roots``.
 
     Same rule as visiting the candidates in order and keeping each one that
     passes the residual test and lies at least the dedupe radius from every
     root kept so far: the first settled seed of each cluster wins.
     """
-    radius = max(cfg.dedupe_radius, 1e-9)
     res = np.linalg.norm(_batch_equator_field(f, chart, candidates), axis=1)
-    cand = candidates[res < cfg.newton_tol]
+    cand = candidates[res < _NEWTON_TOL]
     if roots and len(cand):
         dist = np.linalg.norm(cand[:, None, :] - np.array(roots)[None, :, :], axis=2)
-        cand = cand[np.all(dist >= radius, axis=1)]
+        cand = cand[np.all(dist >= _DEDUPE_RADIUS, axis=1)]
     while len(cand):
         roots.append(cand[0])
-        cand = cand[np.linalg.norm(cand - cand[0], axis=1) >= radius]
+        cand = cand[np.linalg.norm(cand - cand[0], axis=1) >= _DEDUPE_RADIUS]
 
 
 def _batch_newton_roots(f: PolyField3, chart: int, seeds: np.ndarray,
@@ -328,7 +322,7 @@ def _batch_newton_roots(f: PolyField3, chart: int, seeds: np.ndarray,
         finite = np.all(np.isfinite(new), axis=1) & (np.max(np.abs(new), axis=1) <= escape)
         settled = finite & (step < 1e-12 * (1.0 + np.linalg.norm(cur, axis=1)))
         pts[alive[finite]] = new[finite]
-        _collect_roots(f, chart, new[settled], roots, cfg)
+        _collect_roots(f, chart, new[settled], roots)
         alive = alive[finite & ~settled]
     return roots
 
@@ -388,7 +382,7 @@ def find_infinity_equilibria(f: PolyField3, cfg: SearchConfig | None = None) -> 
     for chart in (1, 2, 3):
         for root in chart_equator_roots(f, chart, cfg):
             eq = classify_equilibrium(f, chart, root[0], root[1])
-            if not any(np.linalg.norm(eq.direction - other.direction) < cfg.dedupe_radius
+            if not any(np.linalg.norm(eq.direction - other.direction) < _DEDUPE_RADIUS
                        for other in found):
                 found.append(eq)
     found.sort(key=lambda e: (e.chart, round(e.z[0], 9), round(e.z[1], 9)))

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -204,23 +204,22 @@ def _new_work() -> dict:
     return {"steppers": 0, "evaluations": 0, "accepted": 0, "rejected": 0}
 
 
-def ricci_field() -> Callable[[np.ndarray], np.ndarray]:
+def ricci_field(x: np.ndarray) -> np.ndarray:
     """Raw Ricci flow velocity l' = -2 r(l) as an unchecked formula.
 
     Unlike :func:`flagflow.model.flow_rhs` this performs no domain
     validation; outside the open first octant it returns inf/nan, which the
     step controller treats as a rejected step.  That lets the integrator
     degrade gracefully (step_size_collapse) at the finite-time collapse.
+    ``x`` is a float ndarray, as the integrators pass it.
     """
-    def rhs(x: np.ndarray) -> np.ndarray:
-        # numpy scalars, so a zero component divides to inf instead of raising
-        a, b, c = x
-        return np.array([
-            -2.0 * _ricci_component(a, b, c),
-            -2.0 * _ricci_component(b, a, c),
-            -2.0 * _ricci_component(c, a, b),
-        ])
-    return rhs
+    # numpy scalars, so a zero component divides to inf instead of raising
+    a, b, c = x
+    return np.array([
+        -2.0 * _ricci_component(a, b, c),
+        -2.0 * _ricci_component(b, a, c),
+        -2.0 * _ricci_component(c, a, b),
+    ])
 
 
 def integrate_with_events(field, x0, cfg: IntegratorConfig, *,
@@ -298,23 +297,24 @@ def _north_ball(chart: int, z: np.ndarray) -> np.ndarray:
     return -u if z[2] < 0 else u
 
 
-# a chart switch needs the new pivot to clear the threshold by this margin
+# a chart is left once its pivot sphere coordinate drops below the
+# threshold, for a chart whose pivot clears it by the hysteresis margin
+_SWITCH_THRESHOLD = 0.3
 _SWITCH_HYSTERESIS = 0.05
 
 
 def integrate_compactified(f: cpt.PolyField3, x0, cfg: IntegratorConfig, *,
                            targets: Sequence[np.ndarray] | None = None,
-                           convergence_radius: float = 1e-3,
-                           switch_threshold: float = 0.3) -> Trajectory:
+                           convergence_radius: float = 1e-3) -> Trajectory:
     """Integrate the compactified field from an ambient point x0.
 
     The state lives in one affine chart at a time; the chart is switched
     whenever the magnitude of the current dividing sphere coordinate drops
-    below ``switch_threshold`` and another chart clears the threshold plus
-    a hysteresis of 0.05.  The trajectory is reported in ball coordinates,
-    with the chart bookkeeping kept alongside.  When ``targets`` (ball points) are
-    given, the run stops with ``converged_to_point`` once a full step stays
-    within ``convergence_radius`` of one of them.  The step cap is that of
+    below 0.3 and another chart's clears 0.35.  The trajectory is reported
+    in ball coordinates, with the chart bookkeeping kept alongside.  When
+    ``targets`` (ball points) are given, the run stops with
+    ``converged_to_point`` once a full step stays within
+    ``convergence_radius`` of one of them.  The step cap is that of
     :func:`integrate_with_events`.
 
     The equator z3 = 0 is invariant, so an exact solution never crosses
@@ -372,12 +372,12 @@ def integrate_compactified(f: cpt.PolyField3, x0, cfg: IntegratorConfig, *,
                     break
                 was_near = is_near
             # u1 carries the pivot of the chart as its own sphere component
-            if abs(float(u1[chart - 1])) < switch_threshold:
+            if abs(float(u1[chart - 1])) < _SWITCH_THRESHOLD:
                 ysph = cpt.chart_point_to_sphere(chart, z1)
                 if z1[2] < 0:
                     ysph = -ysph
                 cand = cpt.best_chart(ysph)
-                if cand != chart and abs(float(ysph[cand - 1])) >= switch_threshold + _SWITCH_HYSTERESIS:
+                if cand != chart and abs(float(ysph[cand - 1])) >= _SWITCH_THRESHOLD + _SWITCH_HYSTERESIS:
                     chart_log.append((t1, chart, cand))
                     chart = cand
                     z_new = cpt.chart_coords(ysph, chart)

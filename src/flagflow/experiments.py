@@ -66,6 +66,10 @@ _RUN_CFG = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-11, max_step=0.25, t_end=20
 # ambient radius of the Lyapunov base point on each ray
 _BASE_RADIUS = 2.0
 
+# basin launch heights run from the ball image delta / sqrt(1 + delta^2) of
+# the sphere |x| = delta up to 0.98; from delta 4.925 on that band is empty
+MAX_BASIN_DELTA = 4.9
+
 # octant-scan grids hold about resolution^2 / 2 points; a whole verify run
 # at the upper bound peaks near 150 MB
 MIN_SCAN_RESOLUTION = 50
@@ -181,26 +185,8 @@ class BasinReport:
     records: list[BasinSample] = dataclass_field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "line": self.line,
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "samples": self.samples,
-            "seed": self.seed,
-            "converged_fraction": self.converged_fraction,
-            "max_line_deviation": self.max_line_deviation,
-            "records": [
-                {
-                    "index": r.index,
-                    "start": list(r.start),
-                    "end": list(r.end),
-                    "termination": r.termination,
-                    "converged": r.converged,
-                    "max_deviation": r.max_deviation,
-                }
-                for r in self.records
-            ],
-        }
+        # keys in field order, the order of the basin JSON schema
+        return {**vars(self), "records": [r._asdict() for r in self.records]}
 
 
 # transverse reference axis per line, chosen equivariantly under the
@@ -224,7 +210,8 @@ def cylinder_basin(line: int, epsilon: float, delta: float, n: int, seed: int) -
 
     Launch points sit on the lateral surface of the tube (ball picture),
     uniform in height along the ray and in angle; heights range from the
-    ball image of the ambient sphere |x| = delta up to ball radius 0.98.
+    ball image of the ambient sphere |x| = delta, delta in [0.5, 4.9], up
+    to ball radius 0.98.
     Each sample is integrated with the compactified field until it settles
     at one of the four equilibrium directions at infinity (or times out);
     a sample counts as converged when it terminates within 1e-3 of the
@@ -233,8 +220,8 @@ def cylinder_basin(line: int, epsilon: float, delta: float, n: int, seed: int) -
     """
     if not (0.0 < epsilon <= 0.1):
         raise ValueError("epsilon must lie in (0, 0.1]")
-    if not (math.isfinite(delta) and delta >= 0.5):
-        raise ValueError("delta must be finite and at least 0.5")
+    if not 0.5 <= delta <= MAX_BASIN_DELTA:
+        raise ValueError(f"delta must lie in [0.5, {MAX_BASIN_DELTA}]")
     if n < 1:
         raise ValueError("sample count must be at least 1")
     field = cpt.model_poly_field()

@@ -36,10 +36,7 @@ __all__ = [
     "invariant_ray_parameter",
     "tangency_defect",
     "einstein_residual",
-    "NUM_INVARIANT_LINES",
 ]
-
-NUM_INVARIANT_LINES = 4
 
 
 class MetricParams(NamedTuple):
@@ -51,14 +48,11 @@ class MetricParams(NamedTuple):
 
     @classmethod
     def of(cls, values: Sequence[float]) -> "MetricParams":
+        """Validated metric from any three reals, a MetricParams included."""
         a, b, c = (float(v) for v in values)
-        m = cls(a, b, c)
-        m.validate()
-        return m
-
-    def validate(self) -> None:
-        if not all(math.isfinite(v) and v > 0.0 for v in self):
-            raise ValueError(f"metric components must be positive reals, got {tuple(self)}")
+        if not all(math.isfinite(v) and v > 0.0 for v in (a, b, c)):
+            raise ValueError(f"metric components must be positive reals, got {(a, b, c)}")
+        return cls(a, b, c)
 
     def as_array(self) -> np.ndarray:
         return np.array(self, dtype=float)
@@ -75,13 +69,6 @@ class RicciComponents(NamedTuple):
         return np.array(self, dtype=float)
 
 
-def _as_metric(m) -> MetricParams:
-    if isinstance(m, MetricParams):
-        m.validate()
-        return m
-    return MetricParams.of(m)
-
-
 def _ricci_component(a: float, b: float, c: float) -> float:
     # r_a = 1/(2a) + (a/(bc) - b/(ac) - c/(ab)) / 12, identical op order in
     # all three slots so diagonal inputs stay bitwise diagonal
@@ -94,7 +81,7 @@ def ricci_components(m) -> RicciComponents:
     Raises ValueError if any component is <= 0 (the formulas divide by
     every product of two components).
     """
-    l12, l13, l23 = _as_metric(m)
+    l12, l13, l23 = MetricParams.of(m)
     return RicciComponents(
         _ricci_component(l12, l13, l23),
         _ricci_component(l13, l12, l23),
@@ -169,7 +156,7 @@ def reparam_check(m) -> float:
     The identity is exact in real arithmetic, so the returned value is
     floating-point noise for any valid metric.
     """
-    mp = _as_metric(m)
+    mp = MetricParams.of(m)
     lhs = poly_rhs(mp.as_array())
     rhs = 12.0 * mp.l12 * mp.l13 * mp.l23 * ricci_components(mp).as_array()
     return float(np.max(np.abs(lhs - rhs)))
@@ -230,7 +217,7 @@ def einstein_residual(m) -> tuple[float, float]:
     residual = max_i |r_i - c_fit*m_i|; the residual vanishes exactly on
     Einstein metrics.
     """
-    mp = _as_metric(m)
+    mp = MetricParams.of(m)
     marr = mp.as_array()
     r = ricci_components(mp).as_array()
     c = float((r @ marr) / (marr @ marr))

@@ -159,7 +159,7 @@ def test_criterion_7_integrator_oracles():
     checkpoints_metric = np.linspace(0.05, 0.5, 10)
     worst_metric = 0.0
     for t in checkpoints_metric:
-        tr = integrate_with_events(ff.ricci_field(), (1.0, 1.0, 1.0), IntegratorConfig(t_end=float(t)))
+        tr = integrate_with_events(ff.ricci_field, (1.0, 1.0, 1.0), IntegratorConfig(t_end=float(t)))
         worst_metric = max(worst_metric,
                            abs(tr.final_state[0] - math.sqrt(1.0 - 5.0 * t / 3.0)))
     checkpoints_poly = np.linspace(0.018, 0.18, 10)

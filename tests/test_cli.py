@@ -200,9 +200,12 @@ class TestBasinCommand:
         assert payload["seed"] == 3
         assert payload["converged_fraction"] == 1.0
         assert len(payload["records"]) == 6
+        # the key order is part of the schema
+        assert list(payload) == ["schema_version", "line", "epsilon", "delta", "samples",
+                                 "seed", "converged_fraction", "max_line_deviation", "records"]
         record = payload["records"][0]
-        assert set(record) == {"index", "start", "end", "termination",
-                               "converged", "max_deviation"}
+        assert list(record) == ["index", "start", "end", "termination",
+                                "converged", "max_deviation"]
 
     def test_byte_identical_for_same_seed(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -353,6 +356,8 @@ class TestInputBoundary:
         (["plot", "--x0", "0,0,0"], 1),
         (["integrate", "--system", "poly", "--x0=-1,-1,-1", "--t-end", "1e300"], 1),
         (["lyapunov", "--lines", "2", "--renorm-dt", "1e300"], 1),
+        (["basin", "--line", "2", "--delta", "5"], 1),
+        (["basin", "--line", "2", "--delta", "1e300"], 1),
     ])
     def test_rejected_input_gives_one_line(self, argv, code):
         proc = run_cli(argv)
@@ -361,6 +366,16 @@ class TestInputBoundary:
         assert proc.stderr.splitlines() == [proc.stderr.strip()]
         prefix = "flagflow: error: " if code == 1 else "flagflow: numerical failure: "
         assert proc.stderr.startswith(prefix)
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("out", ["missing/x.csv", "."], ids=["missing-dir", "directory"])
+    def test_unwritable_out_gives_one_line(self, tmp_path, out):
+        path = tmp_path / out
+        proc = run_cli(["ricci", "--metric", "1,1,1", "--out", str(path)])
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == [proc.stderr.strip()]
+        assert proc.stderr.startswith(f"flagflow: error: cannot write {path}: ")
         assert proc.stdout == ""
 
     def test_negative_seed_from_environment(self):

@@ -261,12 +261,12 @@ class TestEquatorCensus:
             ["attractor"] * 3 + ["repeller"] * 3)
 
 
-def sequential_collect(f, chart, candidates, roots, cfg):
+def sequential_collect(f, chart, candidates, roots):
     """Reference root collection: one candidate at a time, first of each cluster wins."""
     for z in candidates:
         res = float(np.linalg.norm(compactify._batch_equator_field(f, chart, z[None, :])[0]))
-        if res < cfg.newton_tol:
-            if not any(np.linalg.norm(z - r) < max(cfg.dedupe_radius, 1e-9) for r in roots):
+        if res < compactify._NEWTON_TOL:
+            if not any(np.linalg.norm(z - r) < compactify._DEDUPE_RADIUS for r in roots):
                 roots.append(z)
 
 
@@ -280,20 +280,21 @@ class TestRootCollection:
         reference = chart_equator_roots(field, chart, cfg)
         assert [r.tobytes() for r in batched] == [r.tobytes() for r in reference]
 
-    def test_clusters_and_known_roots(self, field):
+    def test_clusters_and_known_roots(self, field, monkeypatch):
         # candidates spaced 0.6 radius apart along a line, shuffled among
         # off-root points: chains, ties to earlier roots and residual misses
-        cfg = SearchConfig(newton_tol=1e-3, dedupe_radius=1e-4)
         rng = np.random.default_rng(11)
         centres = chart_equator_roots(field, 1)
+        monkeypatch.setattr(compactify, "_NEWTON_TOL", 1e-3)
+        monkeypatch.setattr(compactify, "_DEDUPE_RADIUS", 1e-4)
         steps = 0.6e-4 * np.arange(4)[:, None] * np.array([0.6, 0.8])
         near = np.concatenate([c + steps for c in centres])
         far = rng.uniform(-3.0, 3.0, size=(20, 2))
         candidates = rng.permutation(np.concatenate([near, far]))
         for known in ([], [centres[2]]):
             got, want = list(known), list(known)
-            compactify._collect_roots(field, 1, candidates, got, cfg)
-            sequential_collect(field, 1, candidates, want, cfg)
+            compactify._collect_roots(field, 1, candidates, got)
+            sequential_collect(field, 1, candidates, want)
             assert len(want) > len(centres) - len(known)
             assert [r.tobytes() for r in got] == [r.tobytes() for r in want]
 
@@ -310,7 +311,7 @@ class TestSearchConfig:
             SearchConfig(seed_box=2.0 * MAX_SEED_BOX)
         assert SearchConfig(seed_box=MAX_SEED_BOX).seed_box == MAX_SEED_BOX
 
-    @pytest.mark.parametrize("name", ["seed_box", "newton_tol", "dedupe_radius"])
+    @pytest.mark.parametrize("name", ["seed_box"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_rejects_nonfinite(self, name, value):
         with pytest.raises(ValueError):

@@ -1,10 +1,12 @@
-"""The demos and the README's python example use only flagflow names that exist.
+"""The demos and the README's examples use only flagflow names and flags that exist.
 
 Running the demos would take too long for the test suite (the Lyapunov demo
 alone runs for about half a minute), so each script is parsed instead.
 Every name imported from a flagflow module must resolve, every attribute
 read off an imported flagflow module must exist, and every keyword argument
-passed to a flagflow function must be one of its parameters.
+passed to a flagflow function must be one of its parameters.  The README's
+command lines go through the CLI's parser and option resolution, without
+running a command.
 """
 
 import ast
@@ -12,8 +14,11 @@ import importlib
 import inspect
 import pathlib
 import re
+import shlex
 
 import pytest
+
+from flagflow import cli
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -119,3 +124,22 @@ def test_guard_catches_removed_names():
         _resolve("flagflow", "no_such_name")
     module, name, keyword = calls[0]
     assert keyword not in inspect.signature(_resolve(module, name)).parameters
+
+
+def _readme_command_lines() -> list[list[str]]:
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Command line\n\n```\n(.*?)```", text, flags=re.S).group(1)
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("flagflow ")]
+
+
+def test_readme_command_lines_parse(monkeypatch):
+    monkeypatch.delenv("FLAGFLOW_SEED", raising=False)
+    lines = _readme_command_lines()
+    assert {argv[0] for argv in lines} == set(cli._COMMANDS)
+    for argv in lines:
+        # argparse accepts a prefix of a flag, so each flag is matched in full
+        table = {**cli._GLOBALS, **cli._COMMANDS[argv[0]].options, "config": None}
+        flags = [arg[2:].split("=")[0].replace("-", "_") for arg in argv if arg.startswith("--")]
+        assert set(flags) <= set(table), argv
+        # a renamed or removed flag raises ValueError here
+        cli._options(cli._build_parser().parse_args(argv))

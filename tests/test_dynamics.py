@@ -49,15 +49,14 @@ class TestIntegratorConfig:
 
 class TestRicciField:
     def test_matches_model_flow_bitwise(self):
-        rhs = ricci_field()
         rng = np.random.default_rng(5)
         for _ in range(100):
             m = rng.uniform(0.1, 5.0, size=3)
-            assert np.array_equal(rhs(m), flow_rhs(m))
+            assert np.array_equal(ricci_field(m), flow_rhs(m))
 
     def test_outside_octant_gives_nonfinite_without_raising(self):
         with np.errstate(all="ignore"):
-            v = ricci_field()(np.array([0.0, 1.0, 1.0]))
+            v = ricci_field(np.array([0.0, 1.0, 1.0]))
         assert not np.all(np.isfinite(v))
 
 
@@ -69,7 +68,7 @@ class TestIntegrate:
 
     def test_metric_flow_diagonal_closed_form(self):
         # on the diagonal the metric flow collapses as c(t) = sqrt(1 - 5t/3)
-        tr = integrate_with_events(ricci_field(), (1.0, 1.0, 1.0), IntegratorConfig(t_end=0.3))
+        tr = integrate_with_events(ricci_field, (1.0, 1.0, 1.0), IntegratorConfig(t_end=0.3))
         assert tr.final_state[0] == pytest.approx(math.sqrt(0.5), abs=1e-6)
 
     def test_quadratic_flow_diagonal_closed_form(self):
@@ -78,7 +77,7 @@ class TestIntegrate:
         assert tr.final_state[0] == pytest.approx(2.0, abs=1e-7)
 
     def test_diagonal_invariance_is_exact(self):
-        for field, t_end in ((poly_rhs, 0.15), (ricci_field(), 0.3)):
+        for field, t_end in ((poly_rhs, 0.15), (ricci_field, 0.3)):
             tr = integrate_with_events(field, (1.0, 1.0, 1.0), IntegratorConfig(t_end=t_end))
             spread = np.max(np.abs(tr.states - tr.states[:, :1]))
             assert spread <= 1e-10  # cyclic formula coding keeps it bitwise 0
@@ -151,15 +150,15 @@ class TestCompactifiedIntegration:
         assert tr.termination == "converged_to_point"
         assert np.linalg.norm(tr.final_state - d1) <= 1e-4
 
-    def test_chart_switching_and_threshold_audit(self):
+    def test_chart_switching_and_threshold_audit(self, monkeypatch):
         # a linear diagnostic field drives trajectories from the x-dominant
         # chart to the z-dominant one; the final point must not depend on
         # the switching threshold
         lin = linear_diag_field()
         finals = {}
         for threshold in (0.3, 0.4):
-            tr = integrate_compactified(lin, (5.0, 0.5, 0.5), IntegratorConfig(t_end=3.0),
-                                        switch_threshold=threshold)
+            monkeypatch.setattr(dynamics, "_SWITCH_THRESHOLD", threshold)
+            tr = integrate_compactified(lin, (5.0, 0.5, 0.5), IntegratorConfig(t_end=3.0))
             assert tr.termination == "reached_t_end"
             assert tr.chart_log, "expected at least one chart switch"
             assert tr.chart_log[0][1:] == (1, 3)
@@ -390,8 +389,8 @@ def _assert_same_trajectory(a, b):
 
 class TestStepperMatchesReference:
     @pytest.mark.parametrize("field, x0, t_end, radius, termination", [
-        (ricci_field(), (1.0, 2.0, 3.0), 5.0, None, "step_size_collapse"),
-        (ricci_field(), (1.0, 1.0, 1.0), 5.0, None, "step_size_collapse"),
+        (ricci_field, (1.0, 2.0, 3.0), 5.0, None, "step_size_collapse"),
+        (ricci_field, (1.0, 1.0, 1.0), 5.0, None, "step_size_collapse"),
         (poly_rhs, (1.0, 1.0, 1.0), 1.0, 1e6, "blow_up_event"),
         (poly_rhs, (1.0, 1.0, 1.0), 1.0, None, "step_size_collapse"),
         (nan_beyond_field, (1.0, 0.5, 0.2), 5.0, None, "step_size_collapse"),
@@ -415,9 +414,9 @@ class TestStepperMatchesReference:
 
     @pytest.mark.parametrize("threshold", [0.3, 0.5])
     def test_chart_switching_bitwise(self, monkeypatch, threshold):
+        monkeypatch.setattr(dynamics, "_SWITCH_THRESHOLD", threshold)
         cur, ref = _with_reference(monkeypatch, lambda: integrate_compactified(
-            linear_diag_field(), (5.0, 0.5, 0.5), IntegratorConfig(t_end=3.0),
-            switch_threshold=threshold))
+            linear_diag_field(), (5.0, 0.5, 0.5), IntegratorConfig(t_end=3.0)))
         assert ref.chart_log
         _assert_same_trajectory(cur, ref)
 
@@ -497,7 +496,7 @@ class TestWorkCounters:
             assert work["accepted"] == accepted
 
     def test_integrate_with_events(self):
-        for field, x0, radius in ((ricci_field(), (1.0, 2.0, 3.0), None),
+        for field, x0, radius in ((ricci_field, (1.0, 2.0, 3.0), None),
                                   (poly_rhs, (1.0, 1.0, 1.0), 1e6),
                                   (nan_beyond_field, (1.0, 0.5, 0.2), None)):
             calls = []

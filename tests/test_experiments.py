@@ -101,6 +101,18 @@ class TestCylinderBasin:
         with pytest.raises(ValueError):
             cylinder_basin(2, 0.05, 0.6, 0, 1)
 
+    def test_delta_upper_bound(self):
+        # at the cap the launch band [delta / sqrt(1 + delta^2), 0.98] is
+        # still open; just above it the band closes
+        delta = experiments.MAX_BASIN_DELTA
+        rep = cylinder_basin(2, 0.05, delta, 2, 1)
+        for r in rep.records:
+            height = float(np.array(r.start) @ line_direction(2))
+            assert delta / math.hypot(1.0, delta) - 1e-12 <= height <= 0.98 + 1e-12
+        for bad in (4.91, 5.0, 1e300):
+            with pytest.raises(ValueError):
+                cylinder_basin(2, 0.05, bad, 1, 1)
+
     def test_diagonal_tube_fully_converges(self):
         rep = cylinder_basin(2, 0.05, 0.6, 25, 7)
         assert rep.converged_fraction == 1.0
