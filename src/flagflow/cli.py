@@ -2,7 +2,8 @@
 
 Subcommands: ricci, integrate, infinity, lyapunov, verify, basin, plot.
 Global flags (--out, --format, --seed, --config) may come before or after
-the subcommand; a value given after it wins.  Values resolve as: explicit
+the subcommand; a value given after it wins.  Flags are spelled in full,
+exactly like their config keys.  Values resolve as: explicit
 flags, then config-file entries, then built-in defaults; the seed
 additionally falls back to the FLAGFLOW_SEED environment variable.  Config
 files are plain ``key = value`` lines with ``#`` comments; unknown keys are
@@ -16,6 +17,7 @@ failure (a check ran and the property did not hold).
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -79,25 +81,10 @@ def _positive(text: str) -> float:
     return value
 
 
-def _nonnegative(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0.0):
-        raise ValueError("must be a non-negative finite number")
-    return value
-
-
 def _seed(text: str) -> int:
     value = int(text)
     if value < 0:
         raise ValueError("must be a non-negative integer")
-    return value
-
-
-def _scan_resolution(text: str) -> int:
-    value = int(text)
-    lo, hi = experiments.MIN_SCAN_RESOLUTION, experiments.MAX_SCAN_RESOLUTION
-    if not lo <= value <= hi:
-        raise ValueError(f"must lie in [{lo}, {hi}]")
     return value
 
 
@@ -106,11 +93,19 @@ def _indices(n: int) -> Callable[[str], list[int]]:
         values = [int(p) for p in text.split(",")]
         if any(j not in range(1, n + 1) for j in values):
             raise ValueError(f"indices must be in 1..{n}")
+        if len(set(values)) < len(values):
+            raise ValueError("indices must not repeat")
         return values
     return cast
 
 
 _CHECKS = ("lines", "einstein", "reparam", "no-equilibria")
+
+# verify's pass thresholds and octant scan resolution
+_TANGENCY_TOL = 1e-13
+_EINSTEIN_TOL = 1e-12
+_REPARAM_TOL = 1e-10
+_SCAN_RESOLUTION = 400
 
 
 def _checks(text: str) -> list[str]:
@@ -257,7 +252,7 @@ def _cmd_integrate(opts) -> tuple[str, int]:
 
 
 def _cmd_infinity(opts) -> tuple[str, int]:
-    cfg = cpt.SearchConfig(grid_resolution=opts["grid"], seed_box=opts["seed_box"])
+    cfg = cpt.SearchConfig(grid_resolution=opts["grid"])
     eqs = cpt.find_infinity_equilibria(cpt.model_poly_field(), cfg)
     return _json({
         "equilibria": [
@@ -292,26 +287,20 @@ def _cmd_lyapunov(opts) -> tuple[str, int]:
 
 
 def _cmd_verify(opts) -> tuple[str, int]:
-    # --checks and the single-check flags add up; neither given runs all
-    selected = set(opts["checks"])
-    selected.update(name for name in _CHECKS if opts[name.replace("-", "_")])
-    selected = selected or set(_CHECKS)
-    tangency_tol, einstein_tol = opts["tangency_tol"], opts["einstein_tol"]
-    reparam_tol = opts["reparam_tol"]
-
+    selected = set(opts["checks"]) or set(_CHECKS)
     results = []
     dirs = model.invariant_directions()
     if "lines" in selected:
         worst = max(model.tangency_defect(d) for d in dirs)
-        results.append(("lines", worst <= tangency_tol, worst, tangency_tol,
+        results.append(("lines", worst <= _TANGENCY_TOL, worst, _TANGENCY_TOL,
                         "max tangency defect over the four ray directions"))
     if "einstein" in selected:
         worst = max(model.einstein_residual(d)[1] for d in dirs)
         c_diag, _ = model.einstein_residual((1.0, 1.0, 1.0))
         c_t, _ = model.einstein_residual((1.0, _T_EXACT, 1.0))
         const_err = max(abs(c_diag - _EXACT_CONSTANTS[2]), abs(c_t - _EXACT_CONSTANTS[1]))
-        ok = worst <= einstein_tol and const_err <= einstein_tol
-        results.append(("einstein", ok, max(worst, const_err), einstein_tol,
+        ok = worst <= _EINSTEIN_TOL and const_err <= _EINSTEIN_TOL
+        results.append(("einstein", ok, max(worst, const_err), _EINSTEIN_TOL,
                         "max Einstein residual and constant error on the rays"))
     if "reparam" in selected:
         rng = np.random.default_rng(opts["seed"])
@@ -321,10 +310,10 @@ def _cmd_verify(opts) -> tuple[str, int]:
             lhs = model.poly_rhs(m)
             scale = max(1.0, float(np.max(np.abs(lhs))))
             worst = max(worst, model.reparam_check(m) / scale)
-        results.append(("reparam", worst <= reparam_tol, worst, reparam_tol,
+        results.append(("reparam", worst <= _REPARAM_TOL, worst, _REPARAM_TOL,
                         "max relative defect of poly == 12*l12*l13*l23*ricci"))
     if "no-equilibria" in selected:
-        min_norm = experiments.no_interior_equilibria_scan(opts["scan_resolution"])
+        min_norm = experiments.no_interior_equilibria_scan(_SCAN_RESOLUTION)
         diag = np.ones(3) / math.sqrt(3.0)
         spot1 = abs(float(np.linalg.norm(model.poly_rhs(diag))) - 5.0 / math.sqrt(3.0))
         spot2 = abs(float(np.linalg.norm(model.poly_rhs((1.0, 0.0, 0.0)))) - math.sqrt(3.0))
@@ -402,8 +391,7 @@ _COMMANDS = {
         "Locate the singularities at infinity of the quadratic "
         "system on the Poincare sphere's equator, classify "
         "their stability, and report them as JSON.",
-        {"grid": _opt(int, 48, "Newton seed grid resolution per chart"),
-         "seed_box": _opt(float, 8.0)}),
+        {"grid": _opt(int, 48, "Newton seed grid resolution per chart")}),
     "lyapunov": _Command(
         _cmd_lyapunov, "Lyapunov exponents along the four invariant rays",
         "Benettin Lyapunov spectra of the compactified flow "
@@ -425,19 +413,7 @@ _COMMANDS = {
         "components, and that the field has no zero on the "
         "closed first-octant unit sphere.",
         {"checks": _opt(_checks, (), "comma-separated subset of "
-                                     "lines,einstein,reparam,no-equilibria"),
-         "lines": _opt(_boolean, False, "only the invariant-line tangency check",
-                       action="store_true"),
-         "einstein": _opt(_boolean, False, "only the Einstein residual check",
-                          action="store_true"),
-         "reparam": _opt(_boolean, False, "only the rescaling identity check",
-                         action="store_true"),
-         "no_equilibria": _opt(_boolean, False, "only the octant scan check",
-                               action="store_true"),
-         "tangency_tol": _opt(_nonnegative, 1e-13),
-         "einstein_tol": _opt(_nonnegative, 1e-12),
-         "reparam_tol": _opt(_nonnegative, 1e-10),
-         "scan_resolution": _opt(_scan_resolution, 400)}),
+                                     "lines,einstein,reparam,no-equilibria")}),
     "basin": _Command(
         _cmd_basin, "cylinder-of-initial-conditions experiment around a ray",
         "Sample a tube of initial metrics around one invariant "
@@ -462,13 +438,14 @@ def _build_parser() -> _Parser:
     # SUPPRESS leaves an option that was not given out of the namespace, so
     # a global flag given before the subcommand survives the subparser
     parser = _Parser(prog="flagflow", description=__doc__,
-                     argument_default=argparse.SUPPRESS,
+                     argument_default=argparse.SUPPRESS, allow_abbrev=False,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
     tables = [(parser, {})]
     for name, command in _COMMANDS.items():
         tables.append((sub.add_parser(name, help=command.help, description=command.description,
-                                      argument_default=argparse.SUPPRESS), command.options))
+                                      argument_default=argparse.SUPPRESS, allow_abbrev=False),
+                       command.options))
 
     def add(p, table):
         for key, (_, _, kwargs) in table.items():
@@ -481,11 +458,24 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _check_out(path: str) -> None:
+    """Reject an --out path that is a directory or lies in a missing one."""
+    if os.path.isdir(path):
+        reason = errno.EISDIR
+    elif not os.path.exists(os.path.dirname(path) or "."):
+        reason = errno.ENOENT
+    else:
+        return
+    raise ValueError(f"cannot write {path}: {os.strerror(reason)}")
+
+
 def run(argv=None) -> int:
     """Entry point; returns the process exit code."""
     try:
         args = _build_parser().parse_args(argv)
         opts = _options(args)
+        if opts["out"]:
+            _check_out(opts["out"])
         text, code = _COMMANDS[args.command].handler(opts)
     except (FloatingPointError, np.linalg.LinAlgError) as exc:
         # LinAlgError is a ValueError, so this clause comes first

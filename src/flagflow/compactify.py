@@ -213,9 +213,9 @@ def compactified_jacobian(f: PolyField3, chart: int, z) -> np.ndarray:
 # them at a few MB each
 MAX_GRID_RESOLUTION = 512
 
-# the ten-point census holds up to this box at grids 32 to 512; at grid 48 it
-# finds three points at 1e8, and from 1e150 on the seeds overflow the field
-MAX_SEED_BOX = 1e6
+# half-width of each chart's square of Newton seeds; the ten-point census
+# holds at grids 32 to 512 for any box up to 1e6
+_SEED_BOX = 8.0
 
 _MAX_NEWTON_ITER = 40
 
@@ -233,15 +233,10 @@ class SearchConfig:
     """Parameters of the seeded Newton search for equator equilibria."""
 
     grid_resolution: int = 48  # seeds per axis, in [32, MAX_GRID_RESOLUTION]
-    seed_box: float = 8.0
 
     def __post_init__(self):
         if not 32 <= self.grid_resolution <= MAX_GRID_RESOLUTION:
             raise ValueError(f"grid_resolution must lie in [32, {MAX_GRID_RESOLUTION}]")
-        if not (math.isfinite(self.seed_box) and self.seed_box > 0):
-            raise ValueError("seed_box must be positive and finite")
-        if self.seed_box > MAX_SEED_BOX:
-            raise ValueError(f"seed_box must not exceed {MAX_SEED_BOX:g}")
 
 
 @dataclass(frozen=True)
@@ -291,12 +286,11 @@ def _collect_roots(f: PolyField3, chart: int, candidates: np.ndarray,
         cand = cand[np.linalg.norm(cand - cand[0], axis=1) >= _DEDUPE_RADIUS]
 
 
-def _batch_newton_roots(f: PolyField3, chart: int, seeds: np.ndarray,
-                        cfg: SearchConfig) -> list[np.ndarray]:
+def _batch_newton_roots(f: PolyField3, chart: int, seeds: np.ndarray) -> list[np.ndarray]:
     """Simultaneous damped Newton iteration over all grid seeds."""
     pts = seeds.copy()
     alive = np.arange(len(pts))
-    escape = 10.0 * cfg.seed_box
+    escape = 10.0 * _SEED_BOX
     roots: list[np.ndarray] = []
     fd_h = 1e-6
 
@@ -335,10 +329,10 @@ def chart_equator_roots(f: PolyField3, chart: int, cfg: SearchConfig | None = No
     vectorized Newton iteration.
     """
     cfg = cfg or SearchConfig()
-    lin = np.linspace(-cfg.seed_box, cfg.seed_box, cfg.grid_resolution)
+    lin = np.linspace(-_SEED_BOX, _SEED_BOX, cfg.grid_resolution)
     g1, g2 = np.meshgrid(lin, lin, indexing="ij")
     seeds = np.column_stack([g1.ravel(), g2.ravel()])
-    roots = _batch_newton_roots(f, chart, seeds, cfg)
+    roots = _batch_newton_roots(f, chart, seeds)
     roots.sort(key=lambda r: (round(r[0], 9), round(r[1], 9)))
     return roots
 

@@ -34,6 +34,7 @@ __all__ = [
     "reparam_check",
     "invariant_directions",
     "invariant_ray_parameter",
+    "line_direction",
     "tangency_defect",
     "einstein_residual",
 ]

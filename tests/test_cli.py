@@ -170,7 +170,7 @@ class TestVerifyCommand:
         assert out.count("PASS") == 4 and "FAIL" not in out
 
     def test_single_check(self, capsys):
-        assert run(["verify", "--lines"]) == 0
+        assert run(["verify", "--checks", "lines"]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 1 and "tangency" in out
 
@@ -180,8 +180,9 @@ class TestVerifyCommand:
         assert [c["name"] for c in payload["checks"]] == ["lines", "einstein"]
         assert all(c["passed"] for c in payload["checks"])
 
-    def test_failing_tolerance_exits_3(self, capsys):
-        assert run(["verify", "--lines", "--tangency-tol", "1e-20"]) == 3
+    def test_failing_tolerance_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_TANGENCY_TOL", 1e-20)
+        assert run(["verify", "--checks", "lines"]) == 3
         assert "FAIL" in capsys.readouterr().out
 
     def test_unknown_check_exits_1(self):
@@ -291,7 +292,7 @@ class TestConfigFile:
 
     def test_verify_flags_are_config_keys(self, tmp_path, capsys):
         cfg = tmp_path / "flagflow.cfg"
-        cfg.write_text("einstein = yes\n")
+        cfg.write_text("checks = einstein\n")
         assert run(["verify", "--config", str(cfg)]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 1 and "Einstein" in out
@@ -358,6 +359,10 @@ class TestInputBoundary:
         (["lyapunov", "--lines", "2", "--renorm-dt", "1e300"], 1),
         (["basin", "--line", "2", "--delta", "5"], 1),
         (["basin", "--line", "2", "--delta", "1e300"], 1),
+        (["lyapunov", "--lines", "2,2", "--t-max", "12"], 1),
+        (["lyapunov", "--lines", "2", "--charts", "1,1", "--t-max", "12"], 1),
+        (["lyapunov", "--line", "2", "--t-max", "12"], 1),
+        (["verify", "--check", "lines"], 1),
     ])
     def test_rejected_input_gives_one_line(self, argv, code):
         proc = run_cli(argv)
@@ -377,6 +382,19 @@ class TestInputBoundary:
         assert proc.stderr.splitlines() == [proc.stderr.strip()]
         assert proc.stderr.startswith(f"flagflow: error: cannot write {path}: ")
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("out", ["missing/b.json", "."], ids=["missing-dir", "directory"])
+    def test_unwritable_out_rejected_before_the_work(self, tmp_path, monkeypatch, capsys, out):
+        def fail(opts):
+            raise AssertionError("the command ran")
+        monkeypatch.setitem(cli._COMMANDS, "basin", cli._COMMANDS["basin"]._replace(handler=fail))
+        path = tmp_path / out
+        assert run(["basin", "--line", "1", "--samples", "100", "--out", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"flagflow: error: cannot write {path}: ")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "missing").exists()
 
     def test_negative_seed_from_environment(self):
         proc = run_cli(["verify", "--checks", "reparam"], FLAGFLOW_SEED="-2")
@@ -418,23 +436,18 @@ CHEAP = {
     "min_step": _reals(1e-12, 1e-6),
     "blow_up_radius": _reals(1.0, 1e6),
     "grid": st.integers(32, 48).map(str),
-    "seed_box": _reals(0.5, 16.0),
     "lines": _subset(["1", "2", "3", "4"], 2),
     "charts": _subset(["1", "2", "3"], 2),
     "renorm_dt": _reals(0.05, 1.0),
     "t_max": _reals(0.1, 5.0),
     "checks": _subset(["lines", "einstein", "reparam", "no-equilibria"], 4),
-    "tangency_tol": _reals(0.0, 1.0),
-    "einstein_tol": _reals(0.0, 1.0),
-    "reparam_tol": _reals(0.0, 1.0),
-    "scan_resolution": st.integers(50, 100).map(str),
     "line": st.integers(1, 4).map(str),
     "epsilon": _reals(0.01, 0.1),
     "delta": _reals(0.5, 3.0),
     "samples": st.integers(1, 3).map(str),
 }
 # options whose default is expensive are always given
-COSTLY_DEFAULT = {"t_end", "t_max", "samples", "scan_resolution"}
+COSTLY_DEFAULT = {"t_end", "t_max", "samples"}
 FUZZED_GLOBALS = {k: v for k, v in cli._GLOBALS.items() if k != "out"}
 
 

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from flagflow import compactify
 from flagflow.compactify import (
     MAX_GRID_RESOLUTION,
-    MAX_SEED_BOX,
     PolyField3,
     SearchConfig,
     ball_projection,
@@ -305,17 +304,6 @@ class TestSearchConfig:
             SearchConfig(grid_resolution=16)
         with pytest.raises(ValueError):
             SearchConfig(grid_resolution=MAX_GRID_RESOLUTION + 1)
-        with pytest.raises(ValueError):
-            SearchConfig(seed_box=-1.0)
-        with pytest.raises(ValueError):
-            SearchConfig(seed_box=2.0 * MAX_SEED_BOX)
-        assert SearchConfig(seed_box=MAX_SEED_BOX).seed_box == MAX_SEED_BOX
-
-    @pytest.mark.parametrize("name", ["seed_box"])
-    @pytest.mark.parametrize("value", [math.inf, math.nan])
-    def test_rejects_nonfinite(self, name, value):
-        with pytest.raises(ValueError):
-            SearchConfig(**{name: value})
 
     def test_polyfield_validation(self):
         with pytest.raises(ValueError):
