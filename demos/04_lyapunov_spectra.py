@@ -6,7 +6,7 @@
 # re-orthonormalizing it on a fixed cadence (the Benettin procedure)
 # estimates the Lyapunov exponents of that trajectory.
 #
-# Takes under half a minute (22-24 s on a 2-vCPU Xeon): the running
+# Takes about 20 seconds (19-22 s on a 2-vCPU Xeon): the running
 # averages settle at the 1e-3 level only after a few hundred time units.
 
 from flagflow import lyapunov_exponent_table

@@ -193,20 +193,20 @@ def compactified_jacobian(f: PolyField3, chart: int, z) -> np.ndarray:
     With w the chart point of the ambient space, the first two components
     depend on (z1, z2) through P(w) and its Jacobian, and only the last
     component depends on z3; the entries are exact down to the equator.
+    Only ``f.jac`` is evaluated: Euler's identity J(w) w = d P(w) for a
+    field homogeneous of degree d gives the slot value P_slot(w).
     """
     z1, z2, z3 = np.asarray(z, dtype=float).tolist()
     slot, a, b = _chart_idx(chart)
-    w = _chart_w(chart, z1, z2)
-    qs = f.func(w).tolist()[slot]
-    pj = f.jac(w).tolist()
+    pj = f.jac(_chart_w(chart, z1, z2)).tolist()
     js, ja, jb = pj[slot], pj[a], pj[b]
-    return np.array(
-        [
-            [-qs - z1 * js[a] + ja[a], -z1 * js[b] + ja[b], 0.0],
-            [-z2 * js[a] + jb[a], -qs - z2 * js[b] + jb[b], 0.0],
-            [-z3 * js[a], -z3 * js[b], -qs],
-        ]
-    )
+    qs = (js[slot] + z1 * js[a] + z2 * js[b]) / f.degree
+    # a flat list converts faster than nested rows
+    return np.array([
+        -qs - z1 * js[a] + ja[a], -z1 * js[b] + ja[b], 0.0,
+        -z2 * js[a] + jb[a], -qs - z2 * js[b] + jb[b], 0.0,
+        -z3 * js[a], -z3 * js[b], -qs,
+    ]).reshape(3, 3)
 
 
 # the Newton search keeps several (grid^2, 2) float arrays alive; 512 bounds

@@ -438,6 +438,13 @@ def lyapunov_spectrum(field, x0, cfg: IntegratorConfig, renorm_dt: float, *,
     segments, each of at least one step and of steps no longer than
     ``cfg.max_step``, may plan at most ``MAX_PLANNED_STEPS`` steps.
 
+    Each segment starts a fresh stepper, since renormalisation moves the
+    frame and so the derivative, but only the first one starts from the
+    stepper's small first-step guess.  Every later one starts from the
+    step carried over from the segment before: the larger of the step the
+    controller proposed before the segment's last step was cut short to
+    land on ``renorm_dt`` and the one it proposed after it.
+
     If the base trajectory diverges (leaves the sup-norm ball of radius
     1e3, or collapses the step size) before convergence, the partial
     averages are returned with ``converged=False``.
@@ -453,9 +460,8 @@ def lyapunov_spectrum(field, x0, cfg: IntegratorConfig, renorm_dt: float, *,
     n = x0.size
 
     def ext_rhs(yext: np.ndarray) -> np.ndarray:
-        x = yext[:n]
-        J = jacobian(x)
-        return np.concatenate((field(x), yext[n:].reshape(3, n).dot(J.T).ravel()))
+        return np.concatenate((field(yext[:n]),
+                               yext[n:].reshape(3, n).dot(jacobian(yext[:n]).T).ravel()))
 
     frame = np.eye(3, n)
     state = np.concatenate([x0, frame.ravel()])
@@ -472,11 +478,18 @@ def lyapunov_spectrum(field, x0, cfg: IntegratorConfig, renorm_dt: float, *,
                                max_step=min(cfg.max_step, renorm_dt),
                                t_end=renorm_dt, min_step=cfg.min_step)
     n_segments = math.ceil(segments)
+    h_carried = None
     try:
         for _ in range(n_segments):
             stepper = _Stepper(ext_rhs, 0.0, state, seg_cfg, work)
+            if h_carried is not None:
+                stepper.h = h_carried
             while stepper.t < renorm_dt:
+                h_proposed = stepper.h
                 stepper.step(renorm_dt)
+            # the last step was cut to land on renorm_dt, so the proposal
+            # after it can be far below the step the controller had settled on
+            h_carried = max(h_proposed, stepper.h)
             state = stepper.y
             base = state[:n]
             if float(np.max(np.abs(base))) > _DIVERGENCE_GUARD:
@@ -487,7 +500,7 @@ def lyapunov_spectrum(field, x0, cfg: IntegratorConfig, renorm_dt: float, *,
             for i in range(3):
                 for j in range(i):
                     frame[i] -= (frame[i] @ frame[j]) * frame[j]
-                r = float(np.linalg.norm(frame[i]))
+                r = math.sqrt(float(frame[i].dot(frame[i])))
                 if r == 0.0 or not math.isfinite(r):
                     raise _StepCollapse("tangent frame degenerated")
                 sums[i] += math.log(r)

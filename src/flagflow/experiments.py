@@ -276,6 +276,7 @@ class LyapunovTableRow(NamedTuple):
     t_used: float
     converged: bool
     note: str
+    work: dict  # integrator counters of the run, as on LyapunovSpectrum
 
 
 @dataclass
@@ -311,9 +312,9 @@ def lyapunov_exponent_table(lines: Sequence[int] = (1, 2, 3, 4),
         y = cpt.sphere_from_ambient(x0)
         for chart in charts:
             z0 = cpt.chart_coords(y, chart)
-            rhs = lambda z, c=chart: cpt.compactified_field_array(field, c, z)
-            jac = lambda z, c=chart: cpt.compactified_jacobian(field, c, z)
-            spec = lyapunov_spectrum(rhs, z0, base_cfg, renorm_dt, jacobian=jac)
+            spec = lyapunov_spectrum(
+                functools.partial(cpt.compactified_field_array, field, chart), z0, base_cfg,
+                renorm_dt, jacobian=functools.partial(cpt.compactified_jacobian, field, chart))
             rows.append(LyapunovTableRow(
                 line=line,
                 chart=chart,
@@ -321,6 +322,7 @@ def lyapunov_exponent_table(lines: Sequence[int] = (1, 2, 3, 4),
                 t_used=spec.t_used,
                 converged=spec.converged,
                 note=spec.note,
+                work=spec.work,
             ))
     return LyapunovTable(rows=rows)
 

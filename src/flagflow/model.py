@@ -80,13 +80,19 @@ def ricci_components(m) -> RicciComponents:
     """Ricci components of a valid metric.
 
     Raises ValueError if any component is <= 0 (the formulas divide by
-    every product of two components).
+    every product of two components).  The components are homogeneous of
+    degree -1, so they are evaluated as r(m) = r(m/s)/s with s the power of
+    two that brings the largest component into [0.5, 1): the products of
+    two components can then neither overflow nor underflow, and scaling by
+    a power of two is exact, so results that need no scaling keep their bits.
     """
     l12, l13, l23 = MetricParams.of(m)
+    e = math.frexp(max(l12, l13, l23))[1]
+    a, b, c = math.ldexp(l12, -e), math.ldexp(l13, -e), math.ldexp(l23, -e)
     return RicciComponents(
-        _ricci_component(l12, l13, l23),
-        _ricci_component(l13, l12, l23),
-        _ricci_component(l23, l12, l13),
+        math.ldexp(_ricci_component(a, b, c), -e),
+        math.ldexp(_ricci_component(b, a, c), -e),
+        math.ldexp(_ricci_component(c, a, b), -e),
     )
 
 

@@ -51,6 +51,14 @@ class TestRicciCommand:
         assert run(["ricci", "--metric", "1,2"]) == 1
         assert run(["ricci"]) == 1
 
+    @pytest.mark.parametrize("scale", ["1e-200", "1e200"])
+    def test_extreme_scales(self, scale):
+        proc = run_cli(["ricci", "--metric", ",".join([scale] * 3)])
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stderr
+        values = [float(v) for v in proc.stdout.splitlines()[1].split(",")]
+        assert values == pytest.approx([5 / 12 / float(scale)] * 3, rel=1e-15, abs=0)
+
 
 class TestIntegrateCommand:
     def test_blow_up_gives_exit_2(self, tmp_path, capsys):

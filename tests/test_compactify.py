@@ -22,7 +22,7 @@ from flagflow.compactify import (
     model_poly_field,
     sphere_from_ambient,
 )
-from flagflow.model import invariant_directions, invariant_ray_parameter, poly_rhs
+from flagflow.model import invariant_directions, invariant_ray_parameter, poly_jacobian, poly_rhs
 
 T = invariant_ray_parameter()
 
@@ -189,6 +189,63 @@ class TestCompactifiedJacobian:
     def test_known_spectrum_at_diagonal(self, field):
         eig = np.sort(np.linalg.eigvals(compactified_jacobian(field, 1, (1.0, 1.0, 0.0))).real)
         assert eig == pytest.approx([-7.0, -7.0, -5.0], abs=1e-12)
+
+
+_A_LINEAR = np.array([[0.5, -1.0, 2.0], [1.5, 0.25, -0.75], [-2.0, 1.0, 1.25]])
+
+
+def _cubic(x):
+    # x * P(x) componentwise, homogeneous of degree 3
+    x = np.asarray(x, dtype=float)
+    return x * poly_rhs(x)
+
+
+# one homogeneous field per degree; only the quadratic one is the model
+HOMOGENEOUS_FIELDS = {
+    1: PolyField3(func=lambda x: np.asarray(x, dtype=float) @ _A_LINEAR.T,
+                  jac=lambda x: _A_LINEAR, degree=1),
+    2: model_poly_field(),
+    3: PolyField3(func=_cubic, jac=lambda x: np.diag(poly_rhs(x)) + x[:, None] * poly_jacobian(x),
+                  degree=3),
+}
+
+
+class TestJacobianOfEveryDegree:
+    # the chart Jacobian reads the slot value P_slot(w) off J(w) by Euler's
+    # identity, so it must hold for homogeneous fields of any degree
+
+    @staticmethod
+    def _points(chart):
+        rng = np.random.default_rng(40 + chart)
+        z = rng.uniform(-2.0, 2.0, size=(12, 3))
+        z[:4, 2] = 0.0  # on the equator
+        return z
+
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    @pytest.mark.parametrize("chart", [1, 2, 3])
+    def test_matches_central_differences(self, degree, chart):
+        f = HOMOGENEOUS_FIELDS[degree]
+        h = 1e-6
+        for z in self._points(chart):
+            J = compactified_jacobian(f, chart, z)
+            fd = np.empty((3, 3))
+            for j in range(3):
+                zp = z.copy(); zp[j] += h
+                zm = z.copy(); zm[j] -= h
+                fd[:, j] = (compactified_field_array(f, chart, zp)
+                            - compactified_field_array(f, chart, zm)) / (2 * h)
+            assert J == pytest.approx(fd, rel=1e-6, abs=1e-6)
+
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    @pytest.mark.parametrize("chart", [1, 2, 3])
+    def test_slot_value_equals_field(self, degree, chart):
+        # the last diagonal entry is -P_slot(w)
+        f = HOMOGENEOUS_FIELDS[degree]
+        slot = chart - 1
+        for z in self._points(chart):
+            w = np.insert(z[:2], slot, 1.0)
+            qs = float(f.func(w)[slot])
+            assert -compactified_jacobian(f, chart, z)[2, 2] == pytest.approx(qs, rel=1e-13, abs=0)
 
 
 class TestEquatorCensus:

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from flagflow.dynamics import (
     ricci_field,
 )
 from flagflow.dynamics import MAX_PLANNED_STEPS
-from flagflow.model import flow_rhs, invariant_directions, poly_rhs
+from flagflow.model import flow_rhs, invariant_directions, poly_jacobian, poly_rhs
 
 
 def decay_field(y):
@@ -239,6 +240,36 @@ class TestLyapunovSpectrum:
             0.1, jacobian=lambda z: compactified_jacobian(field, 1, z))
         assert spec.converged
         assert spec.exponents == pytest.approx([-5.0, -7.0, -7.0], abs=2e-2)
+
+    @staticmethod
+    def _line_4_run(f, t_end=20.0):
+        z0 = chart_coords(sphere_from_ambient(2.0 * invariant_directions()[3]), 1)
+        cfg = IntegratorConfig(rel_tol=1e-7, abs_tol=1e-10, max_step=0.1, t_end=t_end)
+        return lyapunov_spectrum(functools.partial(compactified_field_array, f, 1), z0, cfg,
+                                 0.1, jacobian=functools.partial(compactified_jacobian, f, 1))
+
+    def test_one_field_evaluation_per_variational_evaluation(self):
+        calls = {"func": 0, "jac": 0}
+
+        def func(x):
+            calls["func"] += 1
+            return poly_rhs(x)
+
+        def jac(x):
+            calls["jac"] += 1
+            return poly_jacobian(x)
+
+        spec = self._line_4_run(PolyField3(func=func, jac=jac, degree=2))
+        evaluations = spec.work["evaluations"]
+        assert evaluations > 0
+        assert calls == {"func": evaluations, "jac": evaluations}
+
+    def test_step_size_carries_across_segments(self):
+        # a fresh first-step guess per segment costs 5 accepted steps per
+        # 0.1 time units here; the carried step needs fewer
+        spec = self._line_4_run(model_poly_field())
+        assert spec.work["steppers"] == len(spec.history) == 200
+        assert spec.work["accepted"] / spec.work["steppers"] <= 4.5
 
     def test_rejects_bad_cadence(self):
         with pytest.raises(ValueError):

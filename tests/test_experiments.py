@@ -185,6 +185,13 @@ class TestLyapunovTable:
         assert all(v < 0.0 for v in row.exponents)
         assert row.exponents == pytest.approx((-5.0, -7.0, -7.0), abs=3e-2)
 
+    def test_rows_carry_work_counts(self, table):
+        for row in table.rows:
+            w = row.work
+            assert set(w) == {"steppers", "evaluations", "accepted", "rejected"}
+            assert w["steppers"] == round(row.t_used / 0.1)
+            assert w["evaluations"] == w["steppers"] + 6 * (w["accepted"] + w["rejected"])
+
     def test_row_lookup(self, table):
         with pytest.raises(KeyError):
             table.row(4, 1)

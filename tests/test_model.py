@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from flagflow.model import (
     MetricParams,
+    _ricci_component,
     einstein_residual,
     flow_rhs,
     invariant_directions,
@@ -67,6 +68,31 @@ class TestRicciComponents:
         scaled = ricci_components(tuple(c * v for v in m))
         assert np.asarray(scaled) == pytest.approx(np.asarray(ricci_components(m)) / c,
                                                    rel=1e-11)
+
+
+class TestRicciAtExtremeScales:
+    # the products of two components overflow near 1e155 and underflow
+    # near 1e-155 unless the metric is scaled first
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200, 1e-300, 1e300, 1e308])
+    def test_round_metric_at_any_scale(self, scale):
+        r = ricci_components((scale, scale, scale))
+        assert r == pytest.approx((5 / 12 / scale,) * 3, rel=1e-15, abs=0)
+
+    def test_unequal_components_at_large_scale(self):
+        # exact values 13/36 and 1/4 at (3, 1, 1), divided by the scale
+        r = ricci_components((3e155, 1e155, 1e155))
+        assert r == pytest.approx((13 / 36 / 1e155, 0.25 / 1e155, 0.25 / 1e155), rel=1e-15, abs=0)
+
+    def test_bitwise_equal_to_unscaled_formula_in_range(self):
+        grid = np.geomspace(1e-3, 1e3, 13)
+        rng = np.random.default_rng(3)
+        points = list(itertools.product(grid, repeat=3)) + list(rng.uniform(1e-3, 1e3, (300, 3)))
+        for a, b, c in points:
+            a, b, c = float(a), float(b), float(c)
+            unscaled = (_ricci_component(a, b, c), _ricci_component(b, a, c),
+                        _ricci_component(c, a, b))
+            assert tuple(ricci_components((a, b, c))) == unscaled
 
 
 class TestFlowRhs:
