@@ -97,8 +97,12 @@ def model_poly_field() -> PolyField3:
 def ball_projection(x) -> np.ndarray:
     """Shrink R^3 onto the open unit ball: x / sqrt(1 + |x|^2)."""
     x = np.asarray(x, dtype=float)
-    delta = np.sqrt(1.0 + np.sum(x * x, axis=-1, keepdims=True))
-    return x / delta
+    with np.errstate(over="ignore"):
+        big = np.isinf(np.sum(x * x, axis=-1, keepdims=True))
+    # |x|^2 overflows beyond |x| ~ 1.3e154: scale such points by their largest component
+    s = np.where(big, np.max(np.abs(x), axis=-1, keepdims=True), 1.0)
+    x = x / s
+    return x / np.sqrt((1.0 / s) ** 2 + np.sum(x * x, axis=-1, keepdims=True))
 
 
 def ball_unprojection(u) -> np.ndarray:
@@ -113,8 +117,12 @@ def ball_unprojection(u) -> np.ndarray:
 def sphere_from_ambient(x) -> np.ndarray:
     """Northern-hemisphere representative (x, 1)/sqrt(1 + |x|^2) on S^3."""
     x = np.asarray(x, dtype=float)
-    delta = math.sqrt(1.0 + float(x @ x))
-    return np.array([x[0] / delta, x[1] / delta, x[2] / delta, 1.0 / delta])
+    with np.errstate(over="ignore"):
+        s = 1.0 if math.isfinite(float(x @ x)) else float(np.max(np.abs(x)))
+    # |x|^2 overflows beyond |x| ~ 1.3e154: scale by the largest component
+    x, inv = x / s, 1.0 / s
+    delta = math.sqrt(inv * inv + float(x @ x))
+    return np.array([x[0] / delta, x[1] / delta, x[2] / delta, inv / delta])
 
 
 def chart_coords(y, chart: int) -> np.ndarray:

@@ -127,44 +127,52 @@ class _Stepper:
     stages after a non-finite one are evaluated too, so ``func`` must
     return inf/nan, not raise, at non-finite input.
 
-    ``work`` is a dict of counters shared by every stepper of one run;
-    each stepper adds itself to ``steppers`` and its field calls to
-    ``evaluations``, so evaluations = steppers + 6 * (accepted + rejected).
+    ``work`` holds the counters of one run: each start, at construction or
+    ``restart`` (once per Lyapunov segment), is one of ``steppers`` and one
+    of ``evaluations``, so evaluations = steppers + 6 * (accepted + rejected).
     """
 
     def __init__(self, func, t0: float, y0: np.ndarray, cfg: IntegratorConfig, work: dict):
-        self.func = func
-        self.cfg = cfg
-        self.work = work
-        self.t = float(t0)
-        self.y = np.array(y0, dtype=float)
-        self.kmat = np.empty((7, self.y.size))
-        work["steppers"] += 1
-        work["evaluations"] += 1
+        self.func, self.cfg, self.work = func, cfg, work
+        self.kmat = np.empty((7, np.size(y0)))
+        self.restart(t0, y0)
         with np.errstate(all="ignore"):
-            self.f = np.asarray(func(self.y), dtype=float)
             # modest first step from plain magnitudes; the controller adapts
             # fast, and a finite field whose norm overflows gives h = 2 * min_step
             y_rms = float(np.linalg.norm(self.y)) / math.sqrt(self.y.size)
             f_rms = float(np.linalg.norm(self.f)) / math.sqrt(self.y.size)
+        self.h = min(cfg.max_step, max(0.01 * (1.0 + y_rms) / (1.0 + f_rms), 2.0 * cfg.min_step))
+
+    def restart(self, t0: float, y0: np.ndarray) -> None:
+        """Continue from a new state, keeping the step size; counts one start."""
+        self.t = float(t0)
+        self.y = np.array(y0, dtype=float)
+        self.work["steppers"] += 1
+        self.work["evaluations"] += 1
+        with np.errstate(all="ignore"):
+            self.f = np.asarray(self.func(self.y), dtype=float)
         if not np.all(np.isfinite(self.f)):
             raise _StepCollapse("vector field not finite at the initial state")
-        self.h = min(cfg.max_step, max(0.01 * (1.0 + y_rms) / (1.0 + f_rms), 2.0 * cfg.min_step))
 
     def step(self, t_limit: float):
         """Advance one accepted step, not beyond t_limit.
 
-        Returns (t_old, y_old, f_old, t_new, y_new, f_new).
-        Raises _StepCollapse when the controller drives h below min_step.
+        Returns (t_old, y_old, f_old, t_new, y_new, f_new).  The step that
+        lands on t_limit may be cut short, so h after it is the larger of the
+        proposals before and after it.  Raises _StepCollapse when the
+        controller drives h below min_step or the resolution of t.
         """
         cfg = self.cfg
         kmat = self.kmat
         work = self.work
+        h_start = self.h
         with np.errstate(all="ignore"):
             while True:
                 h = min(self.h, t_limit - self.t)
                 if h < cfg.min_step:
                     raise _StepCollapse(f"step size {h:.3e} fell below min_step at t={self.t:.6g}")
+                if self.t + h == self.t:
+                    raise _StepCollapse(f"step size {h:.3e} does not advance t={self.t:.6g}")
                 kmat[0] = self.f
                 # ndarray.dot reaches the same BLAS kernels as ``@`` with half the
                 # call overhead; tests/test_dynamics.py checks the bits agree
@@ -195,6 +203,8 @@ class _Stepper:
                     self.f = f_new
                     factor = 0.9 * err_norm ** -0.2 if err_norm > 0.0 else 5.0
                     self.h = min(h * min(5.0, max(0.2, factor)), cfg.max_step)
+                    if self.t >= t_limit:
+                        self.h = max(h_start, self.h)
                     return out
                 work["rejected"] += 1
                 self.h = h * min(1.0, max(0.2, 0.9 * err_norm ** -0.2))
@@ -437,13 +447,7 @@ def lyapunov_spectrum(field, x0, cfg: IntegratorConfig, renorm_dt: float, *,
     componentwise between 0.75*t and t.  The ceil(t_end / renorm_dt)
     segments, each of at least one step and of steps no longer than
     ``cfg.max_step``, may plan at most ``MAX_PLANNED_STEPS`` steps.
-
-    Each segment starts a fresh stepper, since renormalisation moves the
-    frame and so the derivative, but only the first one starts from the
-    stepper's small first-step guess.  Every later one starts from the
-    step carried over from the segment before: the larger of the step the
-    controller proposed before the segment's last step was cut short to
-    land on ``renorm_dt`` and the one it proposed after it.
+    One stepper runs them all, restarting at each renormalised state.
 
     If the base trajectory diverges (leaves the sup-norm ball of radius
     1e3, or collapses the step size) before convergence, the partial
@@ -474,25 +478,15 @@ def lyapunov_spectrum(field, x0, cfg: IntegratorConfig, renorm_dt: float, *,
     note = ""
     work = _new_work()
 
-    seg_cfg = IntegratorConfig(rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-                               max_step=min(cfg.max_step, renorm_dt),
-                               t_end=renorm_dt, min_step=cfg.min_step)
-    n_segments = math.ceil(segments)
-    h_carried = None
     try:
-        for _ in range(n_segments):
-            stepper = _Stepper(ext_rhs, 0.0, state, seg_cfg, work)
-            if h_carried is not None:
-                stepper.h = h_carried
+        stepper = _Stepper(ext_rhs, 0.0, state, cfg, work)
+        for k in range(math.ceil(segments)):
+            if k:
+                stepper.restart(0.0, state)
             while stepper.t < renorm_dt:
-                h_proposed = stepper.h
                 stepper.step(renorm_dt)
-            # the last step was cut to land on renorm_dt, so the proposal
-            # after it can be far below the step the controller had settled on
-            h_carried = max(h_proposed, stepper.h)
             state = stepper.y
-            base = state[:n]
-            if float(np.max(np.abs(base))) > _DIVERGENCE_GUARD:
+            if float(np.max(np.abs(state[:n]))) > _DIVERGENCE_GUARD:
                 note = "base trajectory left the divergence guard ball"
                 break
             frame = state[n:].reshape(3, n)
@@ -505,8 +499,7 @@ def lyapunov_spectrum(field, x0, cfg: IntegratorConfig, renorm_dt: float, *,
                     raise _StepCollapse("tangent frame degenerated")
                 sums[i] += math.log(r)
                 frame[i] /= r
-            gram = frame @ frame.T
-            max_defect = max(max_defect, float(np.max(np.abs(gram - np.eye(3)))))
+            max_defect = max(max_defect, float(np.max(np.abs(frame @ frame.T - np.eye(3)))))
             state[n:] = frame.ravel()
             t_acc += renorm_dt
             running = np.sort(sums / t_acc)[::-1]
@@ -526,15 +519,8 @@ def lyapunov_spectrum(field, x0, cfg: IntegratorConfig, renorm_dt: float, *,
         note = f"base trajectory diverged: {exc}"
 
     exponents = np.sort(sums / t_acc)[::-1] if t_acc > 0 else np.full(3, np.nan)
-    return LyapunovSpectrum(
-        exponents=exponents,
-        t_used=t_acc,
-        converged=converged,
-        history=history,
-        max_gram_defect=max_defect,
-        note=note,
-        work=work,
-    )
+    return LyapunovSpectrum(exponents=exponents, t_used=t_acc, converged=converged,
+                            history=history, max_gram_defect=max_defect, note=note, work=work)
 
 
 def _row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -69,6 +69,8 @@ _BASE_RADIUS = 2.0
 # basin launch heights run from the ball image delta / sqrt(1 + delta^2) of
 # the sphere |x| = delta up to 0.98; from delta 4.925 on that band is empty
 MAX_BASIN_DELTA = 4.9
+# a basin sample takes about 9 ms, so the cap bounds a line near 90 s
+MAX_BASIN_SAMPLES = 10_000
 
 # octant-scan grids hold about resolution^2 / 2 points; a whole verify run
 # at the upper bound peaks near 150 MB
@@ -222,8 +224,8 @@ def cylinder_basin(line: int, epsilon: float, delta: float, n: int, seed: int) -
         raise ValueError("epsilon must lie in (0, 0.1]")
     if not 0.5 <= delta <= MAX_BASIN_DELTA:
         raise ValueError(f"delta must lie in [0.5, {MAX_BASIN_DELTA}]")
-    if n < 1:
-        raise ValueError("sample count must be at least 1")
+    if not 1 <= n <= MAX_BASIN_SAMPLES:
+        raise ValueError(f"sample count must lie in [1, {MAX_BASIN_SAMPLES}]")
     field = cpt.model_poly_field()
     d, e1, e2 = _tube_frame(line)
     targets = _equilibrium_targets()

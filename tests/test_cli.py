@@ -71,6 +71,19 @@ class TestIntegrateCommand:
         assert lines[0] == "t,x1,x2,x3"
         assert float(lines[-1].split(",")[0]) == pytest.approx(0.2, abs=1e-3)
 
+    def test_step_below_the_resolution_of_t_collapses(self, capsys):
+        # with min_step 1e-20 the controller reaches steps that no longer move t
+        assert run(["integrate", "--system", "ricci", "--x0", "1,2,3", "--t-end", "1",
+                    "--max-step", "1e-3", "--min-step", "1e-20"]) == 2
+        assert "step_size_collapse" in capsys.readouterr().err
+
+    def test_far_compactified_start(self):
+        proc = run_cli(["integrate", "--compactified", "--x0", "1e300,1,1", "--t-end", "1"])
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        first = proc.stdout.splitlines()[1].split(",")
+        assert [float(v) for v in first[1:4]] == [1.0, 1e-300, 1e-300]
+
     def test_metric_flow_requires_positive_x0(self):
         assert run(["integrate", "--system", "ricci", "--x0", "1,-1,1"]) == 1
         assert run(["integrate", "--system", "ricci", "--x0", "0,1,1"]) == 1
@@ -367,6 +380,7 @@ class TestInputBoundary:
         (["lyapunov", "--lines", "2", "--renorm-dt", "1e300"], 1),
         (["basin", "--line", "2", "--delta", "5"], 1),
         (["basin", "--line", "2", "--delta", "1e300"], 1),
+        (["basin", "--line", "2", "--samples", "10001"], 1),
         (["lyapunov", "--lines", "2,2", "--t-max", "12"], 1),
         (["lyapunov", "--lines", "2", "--charts", "1,1", "--t-max", "12"], 1),
         (["lyapunov", "--line", "2", "--t-max", "12"], 1),

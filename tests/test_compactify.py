@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -49,6 +50,29 @@ class TestBallProjection:
         u = ball_projection((1e6, 0.0, 0.0))
         assert u[0] > 0.999999
         assert np.linalg.norm(u) < 1.0
+
+    def test_far_points_do_not_overflow(self):
+        # beyond |x| ~ 1.3e154 the square |x|^2 overflows; such points map to x / |x|
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ball_projection((1e300, 1.0, 1.0)).tolist() == [1.0, 1e-300, 1e-300]
+            rows = ball_projection([[1e300, 1.0, 1.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
+            y = sphere_from_ambient((1e300, 1.0, 1.0))
+        assert rows.tolist() == [[1.0, 1e-300, 1e-300], [0.5, 0.5, 0.5], [0.0, 0.0, 0.0]]
+        assert y.tolist() == [1.0, 1e-300, 1e-300, 1e-300]
+        assert sphere_from_ambient((1e160, -1e160, 1e160)) == \
+            pytest.approx([1 / math.sqrt(3.0), -1 / math.sqrt(3.0), 1 / math.sqrt(3.0),
+                           1e-160 / math.sqrt(3.0)], rel=1e-15)
+
+    def test_finite_squares_keep_the_plain_formula(self):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((500, 3)) * 10.0 ** rng.uniform(-5, 150, size=(500, 1))
+        assert ball_projection(x).tobytes() == \
+            (x / np.sqrt(1.0 + np.sum(x * x, axis=-1, keepdims=True))).tobytes()
+        for p in x:
+            delta = math.sqrt(1.0 + float(p @ p))
+            assert sphere_from_ambient(p).tobytes() == \
+                np.array([p[0] / delta, p[1] / delta, p[2] / delta, 1.0 / delta]).tobytes()
 
     def test_unprojection_inverts(self):
         assert ball_unprojection((0.5, 0.5, 0.5)) == pytest.approx((1, 1, 1), abs=1e-12)

@@ -133,6 +133,14 @@ class TestEvents:
         assert np.all(np.isfinite(tr.states))
         assert tr.final_time == pytest.approx(0.2, abs=1e-4)
 
+    def test_step_that_does_not_advance_t_collapses(self):
+        # near the metric flow's collapse at t = 0.7637 the controller, allowed
+        # steps down to 1e-20, proposes one below the resolution of t
+        tr = integrate_with_events(ricci_field, (1.0, 2.0, 3.0),
+                                   IntegratorConfig(t_end=1.0, max_step=1e-3, min_step=1e-20))
+        assert tr.termination == "step_size_collapse"
+        assert tr.final_time == pytest.approx(0.76369, abs=1e-5)
+
 
 class TestCompactifiedIntegration:
     def test_diagonal_start_reaches_diagonal_at_infinity(self):
@@ -271,6 +279,20 @@ class TestLyapunovSpectrum:
         assert spec.work["steppers"] == len(spec.history) == 200
         assert spec.work["accepted"] / spec.work["steppers"] <= 4.5
 
+    def test_one_stepper_per_run(self, monkeypatch):
+        starts = []
+
+        class Counted(dynamics._Stepper):
+            def __init__(self, *args):
+                starts.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(dynamics, "_Stepper", Counted)
+        spec = self._line_4_run(model_poly_field(), t_end=2.0)
+        assert len(starts) == 1
+        # a restart counts as a start, so the counter still sees one per segment
+        assert spec.work["steppers"] == len(spec.history) == 20
+
     def test_rejects_bad_cadence(self):
         with pytest.raises(ValueError):
             lyapunov_spectrum(decay_field, (1.0, 0.0, 0.0),
@@ -393,6 +415,101 @@ class _ReferenceStepper(_ParentStepper):
         super().__init__(func, t0, y0, cfg)
 
 
+def _parent_lyapunov_spectrum(field, x0, cfg, renorm_dt, *, jacobian):
+    """Verbatim copy of the Lyapunov driver that started a stepper per segment.
+
+    Each segment builds a fresh reference stepper on a config whose
+    max_step is capped at renorm_dt, and the step size is carried across
+    by hand.  The driver's validation and work counters are left out.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    n = x0.size
+
+    def ext_rhs(yext: np.ndarray) -> np.ndarray:
+        return np.concatenate((field(yext[:n]),
+                               yext[n:].reshape(3, n).dot(jacobian(yext[:n]).T).ravel()))
+
+    frame = np.eye(3, n)
+    state = np.concatenate([x0, frame.ravel()])
+    sums = np.zeros(3)
+    t_acc = 0.0
+    history: list[tuple[float, np.ndarray]] = []
+    n_past = 0
+    max_defect = 0.0
+    converged = False
+    note = ""
+
+    seg_cfg = IntegratorConfig(rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
+                               max_step=min(cfg.max_step, renorm_dt),
+                               t_end=renorm_dt, min_step=cfg.min_step)
+    n_segments = math.ceil(cfg.t_end / renorm_dt)
+    h_carried = None
+    try:
+        for _ in range(n_segments):
+            stepper = _ParentStepper(ext_rhs, 0.0, state, seg_cfg)
+            if h_carried is not None:
+                stepper.h = h_carried
+            while stepper.t < renorm_dt:
+                h_proposed = stepper.h
+                stepper.step(renorm_dt)
+            # the last step was cut to land on renorm_dt, so the proposal
+            # after it can be far below the step the controller had settled on
+            h_carried = max(h_proposed, stepper.h)
+            state = stepper.y
+            base = state[:n]
+            if float(np.max(np.abs(base))) > dynamics._DIVERGENCE_GUARD:
+                note = "base trajectory left the divergence guard ball"
+                break
+            frame = state[n:].reshape(3, n)
+            # modified Gram-Schmidt with log-stretch accounting
+            for i in range(3):
+                for j in range(i):
+                    frame[i] -= (frame[i] @ frame[j]) * frame[j]
+                r = math.sqrt(float(frame[i].dot(frame[i])))
+                if r == 0.0 or not math.isfinite(r):
+                    raise _StepCollapse("tangent frame degenerated")
+                sums[i] += math.log(r)
+                frame[i] /= r
+            gram = frame @ frame.T
+            max_defect = max(max_defect, float(np.max(np.abs(gram - np.eye(3)))))
+            state[n:] = frame.ravel()
+            t_acc += renorm_dt
+            running = np.sort(sums / t_acc)[::-1]
+            history.append((t_acc, running))
+            if t_acc >= dynamics._LYAPUNOV_MIN_TIME:
+                # history times increase, so the entries at or before the
+                # cutoff form a prefix whose end only moves forward
+                cutoff = 0.75 * t_acc
+                while n_past < len(history) and history[n_past][0] <= cutoff:
+                    n_past += 1
+                if n_past:
+                    drift = float(np.max(np.abs(history[n_past - 1][1] - running)))
+                    if drift < dynamics._LYAPUNOV_TOL:
+                        converged = True
+                        break
+    except _StepCollapse as exc:
+        note = f"base trajectory diverged: {exc}"
+
+    exponents = np.sort(sums / t_acc)[::-1] if t_acc > 0 else np.full(3, np.nan)
+    return dynamics.LyapunovSpectrum(
+        exponents=exponents,
+        t_used=t_acc,
+        converged=converged,
+        history=history,
+        max_gram_defect=max_defect,
+        note=note,
+    )
+
+
+def _assert_same_spectrum(a, b):
+    assert a.exponents.tobytes() == b.exponents.tobytes()
+    assert (a.t_used, a.converged, a.max_gram_defect, a.note) == \
+        (b.t_used, b.converged, b.max_gram_defect, b.note)
+    assert len(a.history) == len(b.history)
+    for (ta, ra), (tb, rb) in zip(a.history, b.history):
+        assert ta == tb and ra.tobytes() == rb.tobytes()
+
+
 def nan_beyond_field(y):
     # exponential growth that is undefined beyond sup-norm 3
     y = np.asarray(y, dtype=float)
@@ -451,19 +568,27 @@ class TestStepperMatchesReference:
         assert ref.chart_log
         _assert_same_trajectory(cur, ref)
 
-    def test_lyapunov_line_4_bitwise(self, monkeypatch):
+    @pytest.mark.parametrize("line", [2, 4])
+    @pytest.mark.parametrize("renorm_dt", [0.1, 0.05, 0.3])
+    def test_lyapunov_rays_bitwise(self, line, renorm_dt):
         field = model_poly_field()
-        z0 = chart_coords(sphere_from_ambient(2.0 * invariant_directions()[3]), 1)
+        z0 = chart_coords(sphere_from_ambient(2.0 * invariant_directions()[line - 1]), 1)
         cfg = IntegratorConfig(rel_tol=1e-7, abs_tol=1e-10, max_step=0.1, t_end=20.0)
-        cur, ref = _with_reference(monkeypatch, lambda: lyapunov_spectrum(
-            lambda z: compactified_field_array(field, 1, z), z0, cfg, 0.1,
-            jacobian=lambda z: compactified_jacobian(field, 1, z)))
-        assert cur.exponents.tobytes() == ref.exponents.tobytes()
-        assert (cur.t_used, cur.converged, cur.max_gram_defect, cur.note) == \
-            (ref.t_used, ref.converged, ref.max_gram_defect, ref.note)
-        assert len(cur.history) == len(ref.history) == 200
-        for (tc, rc), (tr, rr) in zip(cur.history, ref.history):
-            assert tc == tr and rc.tobytes() == rr.tobytes()
+        args = (functools.partial(compactified_field_array, field, 1), z0, cfg, renorm_dt)
+        jac = functools.partial(compactified_jacobian, field, 1)
+        cur = lyapunov_spectrum(*args, jacobian=jac)
+        ref = _parent_lyapunov_spectrum(*args, jacobian=jac)
+        _assert_same_spectrum(cur, ref)
+        assert len(cur.history) == math.ceil(20.0 / renorm_dt)
+
+    def test_converged_lyapunov_run_bitwise(self):
+        A = np.diag([-1.0, -2.0, -3.0])
+        args = (lambda x: A @ x, (0.3, 0.3, 0.3), IntegratorConfig(t_end=100.0), 0.1)
+        cur = lyapunov_spectrum(*args, jacobian=lambda x: A)
+        ref = _parent_lyapunov_spectrum(*args, jacobian=lambda x: A)
+        assert ref.converged and ref.t_used < 100.0
+        _assert_same_spectrum(cur, ref)
+        assert cur.work["steppers"] == len(cur.history)
 
     def test_nan_stage_rejections_follow_the_reference(self):
         # drive both steppers through trial steps that turn non-finite before

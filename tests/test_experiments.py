@@ -101,6 +101,13 @@ class TestCylinderBasin:
         with pytest.raises(ValueError):
             cylinder_basin(2, 0.05, 0.6, 0, 1)
 
+    def test_sample_count_upper_bound(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a sample ran")
+        monkeypatch.setattr(experiments, "integrate_compactified", fail)
+        with pytest.raises(ValueError, match="sample count"):
+            cylinder_basin(2, 0.05, 0.6, experiments.MAX_BASIN_SAMPLES + 1, 1)
+
     def test_delta_upper_bound(self):
         # at the cap the launch band [delta / sqrt(1 + delta^2), 0.98] is
         # still open; just above it the band closes
@@ -214,6 +221,14 @@ class TestClassifyLimit:
         res = classify_limit((1.5, 1.5, 1.5))
         assert res.kind == "normal_einstein"
         assert np.linalg.norm(res.limit_direction - line_direction(2)) <= 1e-9
+
+    def test_far_start_matches_a_nearer_one(self):
+        # |x|^2 overflows at 1e160, not at 1e150; both start next to the
+        # direction (1, 0, 0) at infinity and settle at the same equilibrium
+        far, near = classify_limit((1e160, 1.0, 1.0)), classify_limit((1e150, 1.0, 1.0))
+        assert far.termination == near.termination == "converged_to_point"
+        assert far.kind == near.kind
+        assert far.limit_direction == pytest.approx(near.limit_direction, abs=1e-6)
 
     def test_rejects_invalid_metric(self):
         with pytest.raises(ValueError):
