@@ -190,7 +190,10 @@ def compactified_field_array(f: PolyField3, chart: int, z) -> np.ndarray:
     """
     z1, z2, z3 = np.asarray(z, dtype=float).tolist()
     slot, a, b = _chart_idx(chart)
-    q = f.func(_chart_w(chart, z1, z2)).tolist()
+    # the ambient point w: 1 in the chart slot, (z1, z2) in the other two
+    w = [z1, z2]
+    w.insert(slot, 1.0)
+    q = f.func(np.array(w)).tolist()
     qs = q[slot]
     return np.array([-z1 * qs + q[a], -z2 * qs + q[b], -z3 * qs])
 
@@ -206,7 +209,9 @@ def compactified_jacobian(f: PolyField3, chart: int, z) -> np.ndarray:
     """
     z1, z2, z3 = np.asarray(z, dtype=float).tolist()
     slot, a, b = _chart_idx(chart)
-    pj = f.jac(_chart_w(chart, z1, z2)).tolist()
+    w = [z1, z2]
+    w.insert(slot, 1.0)
+    pj = f.jac(np.array(w)).tolist()
     js, ja, jb = pj[slot], pj[a], pj[b]
     qs = (js[slot] + z1 * js[a] + z2 * js[b]) / f.degree
     # a flat list converts faster than nested rows

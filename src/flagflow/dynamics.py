@@ -73,6 +73,8 @@ class Trajectory:
     chart_log: list[tuple[float, int, int]] | None = None
     # integrator counters: steppers, evaluations, accepted, rejected
     work: dict = dataclass_field(default_factory=dict)
+    # why the step size collapsed, on a step_size_collapse run
+    note: str = ""
 
     def __post_init__(self):
         if self.termination not in TERMINATIONS:
@@ -121,11 +123,14 @@ class _StepCollapse(Exception):
 class _Stepper:
     """One-step adaptive Dormand-Prince stepper (FSAL).
 
-    A trial step evaluates all six new stages into one stage buffer and
-    then tests the buffer for finiteness once: a non-finite stage, or a
-    non-finite error norm, rejects the step and cuts h fivefold.  The
-    stages after a non-finite one are evaluated too, so ``func`` must
-    return inf/nan, not raise, at non-finite input.
+    A trial step evaluates all six new stages into one stage buffer, and
+    its error norm is the one finiteness test: a non-finite stage makes its
+    column of the error estimate non-finite (every stage enters it, and
+    0 * inf is nan), so a non-finite error norm rejects the step and cuts
+    h fivefold.  The stages after a non-finite one are evaluated too, so
+    ``func`` must return inf/nan, not raise, at non-finite input; that
+    covers a fifth-order point that overflows, whose stage 6 then is not
+    finite.
 
     ``work`` holds the counters of one run: each start, at construction or
     ``restart`` (once per Lyapunov segment), is one of ``steppers`` and one
@@ -134,7 +139,10 @@ class _Stepper:
 
     def __init__(self, func, t0: float, y0: np.ndarray, cfg: IntegratorConfig, work: dict):
         self.func, self.cfg, self.work = func, cfg, work
-        self.kmat = np.empty((7, np.size(y0)))
+        self.kmat = kmat = np.empty((7, np.size(y0)))
+        # per new stage: its weights, the stages they combine, the row it fills
+        self.stages = [(_DP_A[s], kmat[:s], kmat[s]) for s in range(1, 7)]
+        self.sqrt_n = math.sqrt(np.size(y0))
         self.restart(t0, y0)
         with np.errstate(all="ignore"):
             # modest first step from plain magnitudes; the controller adapts
@@ -153,6 +161,7 @@ class _Stepper:
             self.f = np.asarray(self.func(self.y), dtype=float)
         if not np.all(np.isfinite(self.f)):
             raise _StepCollapse("vector field not finite at the initial state")
+        self.abs_y = np.abs(self.y)
 
     def step(self, t_limit: float):
         """Advance one accepted step, not beyond t_limit.
@@ -163,6 +172,7 @@ class _Stepper:
         controller drives h below min_step or the resolution of t.
         """
         cfg = self.cfg
+        func = self.func
         kmat = self.kmat
         work = self.work
         h_start = self.h
@@ -174,20 +184,19 @@ class _Stepper:
                 if self.t + h == self.t:
                     raise _StepCollapse(f"step size {h:.3e} does not advance t={self.t:.6g}")
                 kmat[0] = self.f
+                y = self.y
                 # ndarray.dot reaches the same BLAS kernels as ``@`` with half the
                 # call overhead; tests/test_dynamics.py checks the bits agree
-                for stage in range(1, 7):
-                    yi = self.y + h * _DP_A[stage].dot(kmat[:stage])
-                    kmat[stage] = self.func(yi)
+                for a, ks, row in self.stages:
+                    yi = y + h * a.dot(ks)
+                    row[...] = func(yi)
                 work["evaluations"] += 6
-                err_norm = math.nan
-                if np.isfinite(kmat).all():
-                    # stage 6 evaluates at the fifth-order solution yi (FSAL)
-                    err = h * _DP_E.dot(kmat)
-                    scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(self.y), np.abs(yi))
-                    e = err / scale
-                    # np.linalg.norm of a 1-D array is sqrt(e.dot(e))
-                    err_norm = math.sqrt(float(e.dot(e))) / math.sqrt(e.size)
+                # stage 6 evaluates at the fifth-order solution yi (FSAL)
+                err = h * _DP_E.dot(kmat)
+                abs_yi = np.abs(yi)
+                e = err / (cfg.abs_tol + cfg.rel_tol * np.maximum(self.abs_y, abs_yi))
+                # np.linalg.norm of a 1-D array is sqrt(e.dot(e))
+                err_norm = math.sqrt(float(e.dot(e))) / self.sqrt_n
                 if not math.isfinite(err_norm):
                     work["rejected"] += 1
                     self.h = max(h * 0.2, cfg.min_step * 0.5)
@@ -197,9 +206,10 @@ class _Stepper:
                 if err_norm <= 1.0:
                     work["accepted"] += 1
                     f_new = kmat[6].copy()
-                    out = (self.t, self.y, self.f, self.t + h, yi, f_new)
+                    out = (self.t, y, self.f, self.t + h, yi, f_new)
                     self.t += h
                     self.y = yi
+                    self.abs_y = abs_yi
                     self.f = f_new
                     factor = 0.9 * err_norm ** -0.2 if err_norm > 0.0 else 5.0
                     self.h = min(h * min(5.0, max(0.2, factor)), cfg.max_step)
@@ -255,6 +265,7 @@ def integrate_with_events(field, x0, cfg: IntegratorConfig, *,
     times = [0.0]
     states = [x0.copy()]
     termination = "reached_t_end"
+    note = ""
     work = _new_work()
     try:
         stepper = _Stepper(field, 0.0, x0, cfg, work)
@@ -270,9 +281,10 @@ def integrate_with_events(field, x0, cfg: IntegratorConfig, *,
                 break
             times.append(t1)
             states.append(y1)
-    except _StepCollapse:
+    except _StepCollapse as exc:
         termination = "step_size_collapse"
-    return Trajectory(np.array(times), np.array(states), termination, work=work)
+        note = str(exc)
+    return Trajectory(np.array(times), np.array(states), termination, work=work, note=note)
 
 
 def _bisect_blow_up(t0, y0, f0, t1, y1, f1, radius):
@@ -301,16 +313,30 @@ def _check_planned_steps(steps: float, what: str) -> None:
         raise ValueError(f"{what} must not exceed {MAX_PLANNED_STEPS} steps, got {steps:.3g}")
 
 
-def _north_ball(chart: int, z: np.ndarray) -> np.ndarray:
-    """Ball coordinates of the northern-hemisphere point a chart state tracks."""
-    u = cpt.ball_from_chart(chart, z)
-    return -u if z[2] < 0 else u
-
-
 # a chart is left once its pivot sphere coordinate drops below the
 # threshold, for a chart whose pivot clears it by the hysteresis margin
 _SWITCH_THRESHOLD = 0.3
 _SWITCH_HYSTERESIS = 0.05
+
+# rounding margin of the target prefilter, relative to 1 + max |t| + |r|
+_NEAR_MARGIN = 16.0 * math.ulp(1.0)
+
+
+def _near_window(tgt: np.ndarray, radius: float) -> tuple[float, float]:
+    """Norm window outside which no ball point is within ``radius`` of a target.
+
+    By the reverse triangle inequality |u - t| >= ||u| - |t||, so a ball
+    point u (|u| <= 1) whose computed norm lies outside
+    [min |t| - r - m, max |t| + r + m] has every computed ``_row_norm``
+    distance above r.  Each computed norm (of u, of t and of u - t) is
+    within 2 ulp(1) of its exact value, relatively, so m needs about
+    5 ulp(1) of 1 + max |t| + |r|; ``_NEAR_MARGIN`` leaves room to spare.
+    A NaN bound (a NaN target or radius) keeps every point inside.
+    """
+    norms = _row_norm(tgt)
+    n_hi = float(np.max(norms, initial=-math.inf))
+    pad = radius + _NEAR_MARGIN * (1.0 + max(n_hi, 0.0) + abs(radius))
+    return float(np.min(norms, initial=math.inf)) - pad, n_hi + pad
 
 
 def integrate_compactified(f: cpt.PolyField3, x0, cfg: IntegratorConfig, *,
@@ -337,17 +363,21 @@ def integrate_compactified(f: cpt.PolyField3, x0, cfg: IntegratorConfig, *,
     y = cpt.sphere_from_ambient(np.asarray(x0, dtype=float))
     chart = cpt.best_chart(y)
     z = cpt.chart_coords(y, chart)
+    # ball coordinates of the northern-hemisphere point a chart state tracks
+    u = cpt.ball_from_chart(chart, z)
 
     times = [0.0]
     chart_ids = [chart]
     chart_states = [z]
-    ball_states = [_north_ball(chart, z)]
+    ball_states = [(-u if z[2] < 0 else u).tolist()]
     chart_log: list[tuple[float, int, int]] = []
     termination = "reached_t_end"
+    note = ""
     work = _new_work()
     if targets is not None:
         tgt = np.asarray(targets, dtype=float).reshape(-1, 3)
-        was_near = _row_norm(ball_states[0] - tgt) <= convergence_radius
+        was_near = _row_norm(np.array(ball_states[0]) - tgt) <= convergence_radius
+        near_lo, near_hi = _near_window(tgt, convergence_radius)
 
     # the chart formula moves the slot-positive representative; tracking the
     # northern point at z3 < 0 needs the antipodal sign (-1)^(d+1)
@@ -370,19 +400,30 @@ def integrate_compactified(f: cpt.PolyField3, x0, cfg: IntegratorConfig, *,
         stepper = _Stepper(make_rhs(chart, z), 0.0, z, cfg, work)
         while stepper.t < cfg.t_end:
             _, _, _, t1, z1, _ = stepper.step(cfg.t_end)
-            u1 = _north_ball(chart, z1)
+            # ball_from_chart in Python floats, same operations; dividing by
+            # -scale south of the equator negates each quotient exactly
+            a, b, z3 = z1.tolist()
+            w0, w1, w2 = (1.0, a, b) if chart == 1 else (a, 1.0, b) if chart == 2 else (a, b, 1.0)
+            scale = math.sqrt(w0 * w0 + w1 * w1 + w2 * w2 + z3 * z3)
+            if z3 < 0.0:
+                scale = -scale
+            u = (w0 / scale, w1 / scale, w2 / scale)
             times.append(t1)
             chart_ids.append(chart)
             chart_states.append(z1)
-            ball_states.append(u1)
+            ball_states.append(u)
             if targets is not None:
-                is_near = _row_norm(u1 - tgt) <= convergence_radius
-                if np.any(was_near & is_near):
-                    termination = "converged_to_point"
-                    break
+                is_near = None
+                norm_u = math.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2])
+                # the negated test keeps a NaN window on the exact path
+                if not (norm_u < near_lo or norm_u > near_hi):
+                    is_near = _row_norm(np.array(u) - tgt) <= convergence_radius
+                    if was_near is not None and np.any(was_near & is_near):
+                        termination = "converged_to_point"
+                        break
                 was_near = is_near
-            # u1 carries the pivot of the chart as its own sphere component
-            if abs(float(u1[chart - 1])) < _SWITCH_THRESHOLD:
+            # u carries the pivot of the chart as its own sphere component
+            if abs(u[chart - 1]) < _SWITCH_THRESHOLD:
                 ysph = cpt.chart_point_to_sphere(chart, z1)
                 if z1[2] < 0:
                     ysph = -ysph
@@ -392,8 +433,9 @@ def integrate_compactified(f: cpt.PolyField3, x0, cfg: IntegratorConfig, *,
                     chart = cand
                     z_new = cpt.chart_coords(ysph, chart)
                     stepper = _Stepper(make_rhs(chart, z_new), t1, z_new, cfg, work)
-    except _StepCollapse:
+    except _StepCollapse as exc:
         termination = "step_size_collapse"
+        note = str(exc)
 
     return Trajectory(
         times=np.array(times),
@@ -403,6 +445,7 @@ def integrate_compactified(f: cpt.PolyField3, x0, cfg: IntegratorConfig, *,
         chart_states=np.array(chart_states),
         chart_log=chart_log,
         work=work,
+        note=note,
     )
 
 
@@ -464,8 +507,11 @@ def lyapunov_spectrum(field, x0, cfg: IntegratorConfig, renorm_dt: float, *,
     n = x0.size
 
     def ext_rhs(yext: np.ndarray) -> np.ndarray:
-        return np.concatenate((field(yext[:n]),
-                               yext[n:].reshape(3, n).dot(jacobian(yext[:n]).T).ravel()))
+        base = yext[:n]
+        out = np.empty(yext.shape)
+        out[:n] = field(base)
+        np.dot(yext[n:].reshape(3, n), jacobian(base).T, out=out[n:].reshape(3, n))
+        return out
 
     frame = np.eye(3, n)
     state = np.concatenate([x0, frame.ravel()])

@@ -69,7 +69,8 @@ _BASE_RADIUS = 2.0
 # basin launch heights run from the ball image delta / sqrt(1 + delta^2) of
 # the sphere |x| = delta up to 0.98; from delta 4.925 on that band is empty
 MAX_BASIN_DELTA = 4.9
-# a basin sample takes about 9 ms, so the cap bounds a line near 90 s
+# a basin sample takes about 7.5 ms (lines 1-4, seed 7, 2-vCPU Xeon), so the
+# cap bounds a line near 75 s
 MAX_BASIN_SAMPLES = 10_000
 
 # octant-scan grids hold about resolution^2 / 2 points; a whole verify run

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from flagflow import compactify as cpt
 from flagflow import dynamics
+from flagflow import experiments
 from flagflow.compactify import PolyField3, ball_projection, chart_coords, sphere_from_ambient
 from flagflow.compactify import compactified_field_array, compactified_jacobian, model_poly_field
 from flagflow.compactify import find_infinity_equilibria
@@ -501,6 +503,90 @@ def _parent_lyapunov_spectrum(field, x0, cfg, renorm_dt, *, jacobian):
     )
 
 
+def _parent_north_ball(chart: int, z: np.ndarray) -> np.ndarray:
+    """Ball coordinates of the northern-hemisphere point a chart state tracks."""
+    u = cpt.ball_from_chart(chart, z)
+    return -u if z[2] < 0 else u
+
+
+def _parent_integrate_compactified(f, x0, cfg, *, targets=None, convergence_radius=1e-3):
+    """Verbatim copy of the compactified step loop that built numpy ball points.
+
+    It computes each step's ball point with ``ball_from_chart`` and tests
+    every target on every step.  It runs the reference stepper; the step
+    cap check and the work counters are left out.
+    """
+    y = cpt.sphere_from_ambient(np.asarray(x0, dtype=float))
+    chart = cpt.best_chart(y)
+    z = cpt.chart_coords(y, chart)
+
+    times = [0.0]
+    chart_ids = [chart]
+    chart_states = [z]
+    ball_states = [_parent_north_ball(chart, z)]
+    chart_log: list[tuple[float, int, int]] = []
+    termination = "reached_t_end"
+    if targets is not None:
+        tgt = np.asarray(targets, dtype=float).reshape(-1, 3)
+        was_near = dynamics._row_norm(ball_states[0] - tgt) <= convergence_radius
+
+    # the chart formula moves the slot-positive representative; tracking the
+    # northern point at z3 < 0 needs the antipodal sign (-1)^(d+1)
+    flip_south = f.degree % 2 == 0
+
+    def make_rhs(c, z0):
+        # z0 is the stepper's start; a trial point on the other side of the
+        # equator gets NaN, which rejects the step.  Python floats and bools
+        # keep the test off numpy's slow scalar comparisons.
+        south = z0.item(2) < 0.0
+
+        def rhs(state):
+            if (state.item(2) < 0.0) != south:
+                return np.full(3, np.nan)
+            g = cpt.compactified_field_array(f, c, state)
+            return -g if flip_south and south else g
+        return rhs
+
+    try:
+        stepper = _ParentStepper(make_rhs(chart, z), 0.0, z, cfg)
+        while stepper.t < cfg.t_end:
+            _, _, _, t1, z1, _ = stepper.step(cfg.t_end)
+            u1 = _parent_north_ball(chart, z1)
+            times.append(t1)
+            chart_ids.append(chart)
+            chart_states.append(z1)
+            ball_states.append(u1)
+            if targets is not None:
+                is_near = dynamics._row_norm(u1 - tgt) <= convergence_radius
+                if np.any(was_near & is_near):
+                    termination = "converged_to_point"
+                    break
+                was_near = is_near
+            # u1 carries the pivot of the chart as its own sphere component
+            if abs(float(u1[chart - 1])) < dynamics._SWITCH_THRESHOLD:
+                ysph = cpt.chart_point_to_sphere(chart, z1)
+                if z1[2] < 0:
+                    ysph = -ysph
+                cand = cpt.best_chart(ysph)
+                if cand != chart and abs(float(ysph[cand - 1])) >= \
+                        dynamics._SWITCH_THRESHOLD + dynamics._SWITCH_HYSTERESIS:
+                    chart_log.append((t1, chart, cand))
+                    chart = cand
+                    z_new = cpt.chart_coords(ysph, chart)
+                    stepper = _ParentStepper(make_rhs(chart, z_new), t1, z_new, cfg)
+    except _StepCollapse:
+        termination = "step_size_collapse"
+
+    return Trajectory(
+        times=np.array(times),
+        states=np.array(ball_states),
+        termination=termination,
+        chart_ids=chart_ids,
+        chart_states=np.array(chart_states),
+        chart_log=chart_log,
+    )
+
+
 def _assert_same_spectrum(a, b):
     assert a.exponents.tobytes() == b.exponents.tobytes()
     assert (a.t_used, a.converged, a.max_gram_defect, a.note) == \
@@ -514,6 +600,21 @@ def nan_beyond_field(y):
     # exponential growth that is undefined beyond sup-norm 3
     y = np.asarray(y, dtype=float)
     return np.full(3, np.nan) if np.max(np.abs(y)) > 3.0 else 1.0 * y
+
+
+def inf_component_beyond_field(y):
+    # exponential growth whose first component turns +inf beyond sup-norm 3
+    y = np.asarray(y, dtype=float)
+    f = 1.0 * y
+    if np.max(np.abs(y)) > 3.0:
+        f[0] = np.inf
+    return f
+
+
+def huge_field(y):
+    # finite and constant at finite input, NaN elsewhere
+    y = np.asarray(y, dtype=float)
+    return np.array([1e306, 5e305, 1.0]) if np.isfinite(y).all() else np.full(3, np.nan)
 
 
 def _with_reference(monkeypatch, run):
@@ -590,35 +691,139 @@ class TestStepperMatchesReference:
         _assert_same_spectrum(cur, ref)
         assert cur.work["steppers"] == len(cur.history)
 
-    def test_nan_stage_rejections_follow_the_reference(self):
-        # drive both steppers through trial steps that turn non-finite before
-        # their last stage; every accepted t, y, f and every next h must agree
-        cfg = IntegratorConfig(t_end=5.0)
-
-        def drive(make):
+    @staticmethod
+    def _drive(field, y0, cfg, h0=None):
+        """Accepted (t, h, y, f) of both steppers, their collapse messages and call counts."""
+        def run(make):
             calls = [0]
 
             def counted(y):
                 calls[0] += 1
-                return nan_beyond_field(y)
+                return field(y)
 
             stepper = make(counted)
-            steps = []
-            with pytest.raises(_StepCollapse):
+            if h0 is not None:
+                stepper.h = h0
+            steps, per_step = [], []
+            with pytest.raises(_StepCollapse) as collapse:
                 while stepper.t < cfg.t_end:
                     before = calls[0]
                     stepper.step(cfg.t_end)
-                    steps.append(((stepper.t, stepper.h, stepper.y.tobytes(), stepper.f.tobytes()),
-                                  calls[0] - before))
-            return [s for s, _ in steps], [c for _, c in steps], stepper
+                    steps.append((stepper.t, stepper.h, stepper.y.tobytes(), stepper.f.tobytes()))
+                    per_step.append(calls[0] - before)
+            return steps, str(collapse.value), per_step, stepper
 
-        y0 = (1.0, 0.5, 0.2)
-        cur, _, stepper = drive(lambda f: dynamics._Stepper(f, 0.0, y0, cfg, dynamics._new_work()))
-        ref, ref_calls, _ = drive(lambda f: _ParentStepper(f, 0.0, y0, cfg))
-        assert cur == ref
+        with np.errstate(over="ignore"):
+            cur = run(lambda f: dynamics._Stepper(f, 0.0, y0, cfg, dynamics._new_work()))
+            ref = run(lambda f: _ParentStepper(f, 0.0, y0, cfg))
+        assert cur[:2] == ref[:2]
+        return cur[3], ref[2]
+
+    def _check_early_nonfinite_stages(self, field):
+        # drive both steppers through trial steps that turn non-finite before
+        # their last stage; every accepted t, y, f, every next h and the
+        # collapse must agree
+        stepper, ref_calls = self._drive(field, (1.0, 0.5, 0.2), IntegratorConfig(t_end=5.0))
         # the reference broke off some trial step before its sixth stage
         assert any(c % 6 for c in ref_calls)
         assert stepper.work["rejected"] > 0
+
+    def test_nan_stage_rejections_follow_the_reference(self):
+        self._check_early_nonfinite_stages(nan_beyond_field)
+
+    def test_inf_component_rejections_follow_the_reference(self):
+        self._check_early_nonfinite_stages(inf_component_beyond_field)
+
+    def test_overflowing_fifth_order_point_follows_the_reference(self):
+        # a constant field of size 1e306 from y = max/2: bisect for the first
+        # step whose fifth-order point overflows while stages 1-5 stay finite
+        y0 = np.array([0.5 * np.finfo(float).max, 0.0, 0.0])
+        kmat = np.tile(huge_field(y0), (7, 1))
+
+        def points(h):
+            return [y0 + h * _DP_A[s].dot(kmat[:s]) for s in range(1, 7)]
+
+        lo, hi = 0.0, 1e3
+        with np.errstate(over="ignore"):
+            for _ in range(100):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (lo, mid) if not np.isfinite(points(mid)[5]).all() else (mid, hi)
+            finite = [bool(np.isfinite(p).all()) for p in points(hi)]
+        assert finite == [True] * 5 + [False]
+        stepper, _ = self._drive(huge_field, y0, IntegratorConfig(t_end=200.0, max_step=100.0),
+                                 h0=hi)
+        assert stepper.work["rejected"] > 0 and stepper.work["accepted"] > 0
+
+
+class TestCompactifiedLoopMatchesParent:
+    # the loop computes ball points in Python floats and skips the target
+    # test outside a norm window; the parent copy does neither
+
+    @staticmethod
+    def _tube_start(line, idx):
+        # the launch point of basin sample idx at epsilon 0.05, delta 0.6, seed 7
+        d, e1, e2 = experiments._tube_frame(line)
+        rng = np.random.default_rng([7, line, idx])
+        height = rng.uniform(0.6 / math.sqrt(1.36), 0.98)
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        return cpt.ball_unprojection(height * d + 0.05 * (math.cos(angle) * e1
+                                                          + math.sin(angle) * e2))
+
+    @staticmethod
+    def _both(*args, **kwargs):
+        cur = integrate_compactified(*args, **kwargs)
+        ref = _parent_integrate_compactified(*args, **kwargs)
+        _assert_same_trajectory(cur, ref)
+        return cur
+
+    @pytest.mark.parametrize("line", [1, 2, 3, 4])
+    def test_tube_samples_bitwise(self, line):
+        targets = experiments._equilibrium_targets()
+        for idx in range(3):
+            tr = self._both(model_poly_field(), self._tube_start(line, idx), experiments._RUN_CFG,
+                            targets=targets, convergence_radius=experiments._STOP_RADIUS)
+            assert tr.termination == "converged_to_point"
+
+    def test_interior_targets_of_mixed_norms_bitwise(self):
+        # the run leaves |u| = 0.45 along the diagonal and settles into the
+        # target at |t| = 0.9 on it; steps below the norm window skip the test
+        d1, d2 = invariant_directions()[:2]
+        targets = [0.5 * d1, 0.9 * d2, -d1]
+        radius = 0.02
+        tr = self._both(model_poly_field(), 0.5 * d2, IntegratorConfig(t_end=50.0),
+                        targets=targets, convergence_radius=radius)
+        assert tr.termination == "converged_to_point"
+        assert np.linalg.norm(tr.final_state - 0.9 * d2) <= radius
+        lo, _ = dynamics._near_window(np.array(targets), radius)
+        assert np.sum(np.linalg.norm(tr.states, axis=1) < lo) >= 2
+
+    @pytest.mark.parametrize("threshold", [0.3, 0.5])
+    def test_chart_switching_bitwise(self, monkeypatch, threshold):
+        monkeypatch.setattr(dynamics, "_SWITCH_THRESHOLD", threshold)
+        tr = self._both(linear_diag_field(), (5.0, 0.5, 0.5), IntegratorConfig(t_end=3.0))
+        assert tr.chart_log
+
+    def test_near_window_never_excludes_a_hit(self):
+        # points on the window's edge, along a target's own direction, are
+        # as close to it as the window allows; the exact test must miss them
+        rng = np.random.default_rng(21)
+        for _ in range(2000):
+            tgt = rng.standard_normal((3, 3))
+            tgt *= rng.uniform(0.3, 1.0, size=(3, 1)) / np.linalg.norm(tgt, axis=1, keepdims=True)
+            radius = 10.0 ** rng.uniform(-9, -1)
+            lo, hi = dynamics._near_window(tgt, radius)
+            norms = dynamics._row_norm(tgt)
+            for edge, t in ((lo, tgt[np.argmin(norms)]), (hi, tgt[np.argmax(norms)])):
+                u = t / np.linalg.norm(t) * edge
+                u_norm = math.sqrt(float(u.dot(u)))
+                if u_norm < lo or u_norm > hi:
+                    assert not np.any(dynamics._row_norm(u - tgt) <= radius)
+
+    def test_empty_and_nan_targets(self):
+        lo, hi = dynamics._near_window(np.empty((0, 3)), 1e-3)
+        assert lo > hi  # every point lies outside
+        lo, hi = dynamics._near_window(np.array([[np.nan, 0.0, 0.0], [0.5, 0.0, 0.0]]), 1e-3)
+        assert math.isnan(lo) and math.isnan(hi)  # every point lies inside
 
 
 class TestDotForms:
@@ -642,6 +847,36 @@ class TestDotForms:
                 assert a.dot(k[:rows]).tobytes() == (a @ k[:rows]).tobytes()
             frame, jac = rng.standard_normal((3, 3)), rng.standard_normal((3, 3))
             assert frame.dot(jac.T).tobytes() == (frame @ jac.T).tobytes()
+            out = np.empty(12)
+            np.dot(frame, jac.T, out=out[3:].reshape(3, 3))
+            assert out[3:].tobytes() == frame.dot(jac.T).ravel().tobytes()
+
+    def test_nonfinite_stage_makes_its_error_column_nonfinite(self):
+        # the stepper's one finiteness test: a non-finite entry of any stage,
+        # the one with weight 0 included, reaches the error estimate
+        rng = np.random.default_rng(13)
+        for n in (3, 12):
+            for stage in range(7):
+                for bad in (np.inf, -np.inf, np.nan):
+                    kmat = rng.standard_normal((7, n))
+                    col = rng.integers(n)
+                    kmat[stage, col] = bad
+                    with np.errstate(invalid="ignore"):
+                        err = 0.1 * _DP_E.dot(kmat)
+                    assert not math.isfinite(err[col])
+
+
+class TestCollapseNote:
+    def test_ricci_collapse_carries_the_message(self):
+        tr = integrate_with_events(ricci_field, (1.0, 2.0, 3.0), IntegratorConfig(t_end=5.0))
+        assert tr.termination == "step_size_collapse"
+        assert tr.note == "step size 9.620e-13 fell below min_step at t=0.763695"
+
+    def test_other_terminations_have_no_note(self):
+        tr = integrate_with_events(decay_field, (1.0, 0.0, 0.0), IntegratorConfig(t_end=1.0))
+        assert tr.termination == "reached_t_end" and tr.note == ""
+        tr = integrate_compactified(model_poly_field(), (1.2, 1.2, 1.2), IntegratorConfig(t_end=1.0))
+        assert tr.termination == "reached_t_end" and tr.note == ""
 
 
 class TestWorkCounters:
