@@ -6,8 +6,9 @@
 # re-orthonormalizing it on a fixed cadence (the Benettin procedure)
 # estimates the Lyapunov exponents of that trajectory.
 #
-# Takes about 8 seconds (7.5-9 s on a quiet 2-vCPU Xeon): the running
-# averages settle at the 1e-3 level only after a few hundred time units.
+# Takes about 12 seconds (10.8-15.5 s over six runs on a shared 2-vCPU
+# Xeon): the running averages settle at the 1e-3 level only after a few
+# hundred time units.
 
 from flagflow import lyapunov_exponent_table
 

@@ -33,12 +33,13 @@ members, seven per chart.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .model import poly_jacobian, poly_rhs
+from .model import _F64, poly_jacobian, poly_rhs
 
 __all__ = [
     "PolyField3",
@@ -160,22 +161,39 @@ def best_chart(y) -> int:
     return int(np.argmax(np.abs(y[:3]))) + 1
 
 
-def _chart_idx(chart: int) -> tuple[int, int, int]:
+def _chart_number(chart) -> int:
+    """``chart`` as the int 1, 2 or 3; any other value raises ValueError.
+
+    A chart is an integer (numpy integers included), so 1.5 or "1" is
+    rejected instead of being truncated or parsed.
+    """
     try:
-        return _CHART_IDX[int(chart)]
-    except KeyError:
-        raise ValueError(f"chart must be 1, 2 or 3, got {chart!r}") from None
+        number = operator.index(chart)
+    except TypeError:
+        number = None
+    if number not in _CHART_IDX:
+        raise ValueError(f"chart must be 1, 2 or 3, got {chart!r}")
+    return number
+
+
+def _chart_idx(chart: int) -> tuple[int, int, int]:
+    return _CHART_IDX[_chart_number(chart)]
 
 
 def _chart_w(chart: int, z1: float, z2: float) -> np.ndarray:
+    chart = _chart_number(chart)
     if chart == 1:
         return np.array([1.0, z1, z2])
     if chart == 2:
         return np.array([z1, 1.0, z2])
-    if chart == 3:
-        return np.array([z1, z2, 1.0])
-    _chart_idx(chart)
-    raise AssertionError
+    return np.array([z1, z2, 1.0])
+
+
+def _z_floats(z) -> list:
+    # a float64 ndarray converts directly; anything else as np.asarray would
+    if z.__class__ is np.ndarray and z.dtype is _F64:
+        return z.tolist()
+    return np.asarray(z, dtype=float).tolist()
 
 
 def compactified_field_array(f: PolyField3, chart: int, z) -> np.ndarray:
@@ -188,14 +206,18 @@ def compactified_field_array(f: PolyField3, chart: int, z) -> np.ndarray:
     southern hemisphere, and tracking a northern point there instead
     requires the antipodal sign (-1)^(d+1) (see dynamics).
     """
-    z1, z2, z3 = np.asarray(z, dtype=float).tolist()
-    slot, a, b = _chart_idx(chart)
-    # the ambient point w: 1 in the chart slot, (z1, z2) in the other two
-    w = [z1, z2]
-    w.insert(slot, 1.0)
-    q = f.func(np.array(w)).tolist()
-    qs = q[slot]
-    return np.array([-z1 * qs + q[a], -z2 * qs + q[b], -z3 * qs])
+    z1, z2, z3 = _z_floats(z)
+    if chart.__class__ is not int or not 1 <= chart <= 3:
+        chart = _chart_number(chart)
+    # P at the ambient point w (1 in the chart slot, (z1, z2) in the other
+    # two), unpacked as (slot, a, b) components
+    if chart == 1:
+        qs, qa, qb = f.func(np.array((1.0, z1, z2))).tolist()
+    elif chart == 2:
+        qa, qs, qb = f.func(np.array((z1, 1.0, z2))).tolist()
+    else:
+        qa, qb, qs = f.func(np.array((z1, z2, 1.0))).tolist()
+    return np.array([-z1 * qs + qa, -z2 * qs + qb, -z3 * qs])
 
 
 def compactified_jacobian(f: PolyField3, chart: int, z) -> np.ndarray:
@@ -207,18 +229,23 @@ def compactified_jacobian(f: PolyField3, chart: int, z) -> np.ndarray:
     Only ``f.jac`` is evaluated: Euler's identity J(w) w = d P(w) for a
     field homogeneous of degree d gives the slot value P_slot(w).
     """
-    z1, z2, z3 = np.asarray(z, dtype=float).tolist()
-    slot, a, b = _chart_idx(chart)
-    w = [z1, z2]
-    w.insert(slot, 1.0)
-    pj = f.jac(np.array(w)).tolist()
-    js, ja, jb = pj[slot], pj[a], pj[b]
-    qs = (js[slot] + z1 * js[a] + z2 * js[b]) / f.degree
+    z1, z2, z3 = _z_floats(z)
+    if chart.__class__ is not int or not 1 <= chart <= 3:
+        chart = _chart_number(chart)
+    # J(w) unpacked by chart: xy is the entry in row x, column y, with x and
+    # y among (s)lot, a and b; the slot-a and slot-b entries go unused
+    if chart == 1:
+        (ss, sa, sb), (_, aa, ab), (_, ba, bb) = f.jac(np.array((1.0, z1, z2))).tolist()
+    elif chart == 2:
+        (aa, _, ab), (sa, ss, sb), (ba, _, bb) = f.jac(np.array((z1, 1.0, z2))).tolist()
+    else:
+        (aa, ab, _), (ba, bb, _), (sa, sb, ss) = f.jac(np.array((z1, z2, 1.0))).tolist()
+    qs = (ss + z1 * sa + z2 * sb) / f.degree
     # a flat list converts faster than nested rows
     return np.array([
-        -qs - z1 * js[a] + ja[a], -z1 * js[b] + ja[b], 0.0,
-        -z2 * js[a] + jb[a], -qs - z2 * js[b] + jb[b], 0.0,
-        -z3 * js[a], -z3 * js[b], -qs,
+        -qs - z1 * sa + aa, -z1 * sb + ab, 0.0,
+        -z2 * sa + ba, -qs - z2 * sb + bb, 0.0,
+        -z3 * sa, -z3 * sb, -qs,
     ]).reshape(3, 3)
 
 

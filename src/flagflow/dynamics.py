@@ -132,6 +132,10 @@ class _Stepper:
     covers a fifth-order point that overflows, whose stage 6 then is not
     finite.
 
+    The caller holds ``np.errstate(all="ignore")`` around construction,
+    ``restart`` and ``step``: each integrator enters it once per run, since a
+    non-finite trial stage is an expected event here, not a warning.
+
     ``work`` holds the counters of one run: each start, at construction or
     ``restart`` (once per Lyapunov segment), is one of ``steppers`` and one
     of ``evaluations``, so evaluations = steppers + 6 * (accepted + rejected).
@@ -144,11 +148,10 @@ class _Stepper:
         self.stages = [(_DP_A[s], kmat[:s], kmat[s]) for s in range(1, 7)]
         self.sqrt_n = math.sqrt(np.size(y0))
         self.restart(t0, y0)
-        with np.errstate(all="ignore"):
-            # modest first step from plain magnitudes; the controller adapts
-            # fast, and a finite field whose norm overflows gives h = 2 * min_step
-            y_rms = float(np.linalg.norm(self.y)) / math.sqrt(self.y.size)
-            f_rms = float(np.linalg.norm(self.f)) / math.sqrt(self.y.size)
+        # modest first step from plain magnitudes; the controller adapts
+        # fast, and a finite field whose norm overflows gives h = 2 * min_step
+        y_rms = float(np.linalg.norm(self.y)) / math.sqrt(self.y.size)
+        f_rms = float(np.linalg.norm(self.f)) / math.sqrt(self.y.size)
         self.h = min(cfg.max_step, max(0.01 * (1.0 + y_rms) / (1.0 + f_rms), 2.0 * cfg.min_step))
 
     def restart(self, t0: float, y0: np.ndarray) -> None:
@@ -157,8 +160,7 @@ class _Stepper:
         self.y = np.array(y0, dtype=float)
         self.work["steppers"] += 1
         self.work["evaluations"] += 1
-        with np.errstate(all="ignore"):
-            self.f = np.asarray(self.func(self.y), dtype=float)
+        self.f = np.asarray(self.func(self.y), dtype=float)
         if not np.all(np.isfinite(self.f)):
             raise _StepCollapse("vector field not finite at the initial state")
         self.abs_y = np.abs(self.y)
@@ -176,48 +178,47 @@ class _Stepper:
         kmat = self.kmat
         work = self.work
         h_start = self.h
-        with np.errstate(all="ignore"):
-            while True:
-                h = min(self.h, t_limit - self.t)
-                if h < cfg.min_step:
-                    raise _StepCollapse(f"step size {h:.3e} fell below min_step at t={self.t:.6g}")
-                if self.t + h == self.t:
-                    raise _StepCollapse(f"step size {h:.3e} does not advance t={self.t:.6g}")
-                kmat[0] = self.f
-                y = self.y
-                # ndarray.dot reaches the same BLAS kernels as ``@`` with half the
-                # call overhead; tests/test_dynamics.py checks the bits agree
-                for a, ks, row in self.stages:
-                    yi = y + h * a.dot(ks)
-                    row[...] = func(yi)
-                work["evaluations"] += 6
-                # stage 6 evaluates at the fifth-order solution yi (FSAL)
-                err = h * _DP_E.dot(kmat)
-                abs_yi = np.abs(yi)
-                e = err / (cfg.abs_tol + cfg.rel_tol * np.maximum(self.abs_y, abs_yi))
-                # np.linalg.norm of a 1-D array is sqrt(e.dot(e))
-                err_norm = math.sqrt(float(e.dot(e))) / self.sqrt_n
-                if not math.isfinite(err_norm):
-                    work["rejected"] += 1
-                    self.h = max(h * 0.2, cfg.min_step * 0.5)
-                    if self.h < cfg.min_step:
-                        raise _StepCollapse(f"repeated rejected steps at t={self.t:.6g}")
-                    continue
-                if err_norm <= 1.0:
-                    work["accepted"] += 1
-                    f_new = kmat[6].copy()
-                    out = (self.t, y, self.f, self.t + h, yi, f_new)
-                    self.t += h
-                    self.y = yi
-                    self.abs_y = abs_yi
-                    self.f = f_new
-                    factor = 0.9 * err_norm ** -0.2 if err_norm > 0.0 else 5.0
-                    self.h = min(h * min(5.0, max(0.2, factor)), cfg.max_step)
-                    if self.t >= t_limit:
-                        self.h = max(h_start, self.h)
-                    return out
+        while True:
+            h = min(self.h, t_limit - self.t)
+            if h < cfg.min_step:
+                raise _StepCollapse(f"step size {h:.3e} fell below min_step at t={self.t:.6g}")
+            if self.t + h == self.t:
+                raise _StepCollapse(f"step size {h:.3e} does not advance t={self.t:.6g}")
+            kmat[0] = self.f
+            y = self.y
+            # ndarray.dot reaches the same BLAS kernels as ``@`` with half the
+            # call overhead; tests/test_dynamics.py checks the bits agree
+            for a, ks, row in self.stages:
+                yi = y + h * a.dot(ks)
+                row[...] = func(yi)
+            work["evaluations"] += 6
+            # stage 6 evaluates at the fifth-order solution yi (FSAL)
+            err = h * _DP_E.dot(kmat)
+            abs_yi = np.abs(yi)
+            e = err / (cfg.abs_tol + cfg.rel_tol * np.maximum(self.abs_y, abs_yi))
+            # np.linalg.norm of a 1-D array is sqrt(e.dot(e))
+            err_norm = math.sqrt(float(e.dot(e))) / self.sqrt_n
+            if not math.isfinite(err_norm):
                 work["rejected"] += 1
-                self.h = h * min(1.0, max(0.2, 0.9 * err_norm ** -0.2))
+                self.h = max(h * 0.2, cfg.min_step * 0.5)
+                if self.h < cfg.min_step:
+                    raise _StepCollapse(f"repeated rejected steps at t={self.t:.6g}")
+                continue
+            if err_norm <= 1.0:
+                work["accepted"] += 1
+                f_new = kmat[6].copy()
+                out = (self.t, y, self.f, self.t + h, yi, f_new)
+                self.t += h
+                self.y = yi
+                self.abs_y = abs_yi
+                self.f = f_new
+                factor = 0.9 * err_norm ** -0.2 if err_norm > 0.0 else 5.0
+                self.h = min(h * min(5.0, max(0.2, factor)), cfg.max_step)
+                if self.t >= t_limit:
+                    self.h = max(h_start, self.h)
+                return out
+            work["rejected"] += 1
+            self.h = h * min(1.0, max(0.2, 0.9 * err_norm ** -0.2))
 
 
 def _new_work() -> dict:
@@ -267,23 +268,25 @@ def integrate_with_events(field, x0, cfg: IntegratorConfig, *,
     termination = "reached_t_end"
     note = ""
     work = _new_work()
-    try:
-        stepper = _Stepper(field, 0.0, x0, cfg, work)
-        if blow_up_radius is not None and float(np.max(np.abs(x0))) >= blow_up_radius:
-            return Trajectory(np.array(times), np.array(states), "blow_up_event", work=work)
-        while stepper.t < cfg.t_end:
-            t0, y0, f0, t1, y1, f1 = stepper.step(cfg.t_end)
-            if blow_up_radius is not None and float(np.max(np.abs(y1))) >= blow_up_radius:
-                te, ye = _bisect_blow_up(t0, y0, f0, t1, y1, f1, blow_up_radius)
-                times.append(te)
-                states.append(ye)
-                termination = "blow_up_event"
-                break
-            times.append(t1)
-            states.append(y1)
-    except _StepCollapse as exc:
-        termination = "step_size_collapse"
-        note = str(exc)
+    # one error state for the run: the stepper expects it (see _Stepper)
+    with np.errstate(all="ignore"):
+        try:
+            stepper = _Stepper(field, 0.0, x0, cfg, work)
+            if blow_up_radius is not None and float(np.max(np.abs(x0))) >= blow_up_radius:
+                return Trajectory(np.array(times), np.array(states), "blow_up_event", work=work)
+            while stepper.t < cfg.t_end:
+                t0, y0, f0, t1, y1, f1 = stepper.step(cfg.t_end)
+                if blow_up_radius is not None and float(np.max(np.abs(y1))) >= blow_up_radius:
+                    te, ye = _bisect_blow_up(t0, y0, f0, t1, y1, f1, blow_up_radius)
+                    times.append(te)
+                    states.append(ye)
+                    termination = "blow_up_event"
+                    break
+                times.append(t1)
+                states.append(y1)
+        except _StepCollapse as exc:
+            termination = "step_size_collapse"
+            note = str(exc)
     return Trajectory(np.array(times), np.array(states), termination, work=work, note=note)
 
 
@@ -396,46 +399,49 @@ def integrate_compactified(f: cpt.PolyField3, x0, cfg: IntegratorConfig, *,
             return -g if flip_south and south else g
         return rhs
 
-    try:
-        stepper = _Stepper(make_rhs(chart, z), 0.0, z, cfg, work)
-        while stepper.t < cfg.t_end:
-            _, _, _, t1, z1, _ = stepper.step(cfg.t_end)
-            # ball_from_chart in Python floats, same operations; dividing by
-            # -scale south of the equator negates each quotient exactly
-            a, b, z3 = z1.tolist()
-            w0, w1, w2 = (1.0, a, b) if chart == 1 else (a, 1.0, b) if chart == 2 else (a, b, 1.0)
-            scale = math.sqrt(w0 * w0 + w1 * w1 + w2 * w2 + z3 * z3)
-            if z3 < 0.0:
-                scale = -scale
-            u = (w0 / scale, w1 / scale, w2 / scale)
-            times.append(t1)
-            chart_ids.append(chart)
-            chart_states.append(z1)
-            ball_states.append(u)
-            if targets is not None:
-                is_near = None
-                norm_u = math.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2])
-                # the negated test keeps a NaN window on the exact path
-                if not (norm_u < near_lo or norm_u > near_hi):
-                    is_near = _row_norm(np.array(u) - tgt) <= convergence_radius
-                    if was_near is not None and np.any(was_near & is_near):
-                        termination = "converged_to_point"
-                        break
-                was_near = is_near
-            # u carries the pivot of the chart as its own sphere component
-            if abs(u[chart - 1]) < _SWITCH_THRESHOLD:
-                ysph = cpt.chart_point_to_sphere(chart, z1)
-                if z1[2] < 0:
-                    ysph = -ysph
-                cand = cpt.best_chart(ysph)
-                if cand != chart and abs(float(ysph[cand - 1])) >= _SWITCH_THRESHOLD + _SWITCH_HYSTERESIS:
-                    chart_log.append((t1, chart, cand))
-                    chart = cand
-                    z_new = cpt.chart_coords(ysph, chart)
-                    stepper = _Stepper(make_rhs(chart, z_new), t1, z_new, cfg, work)
-    except _StepCollapse as exc:
-        termination = "step_size_collapse"
-        note = str(exc)
+    with np.errstate(all="ignore"):
+        try:
+            stepper = _Stepper(make_rhs(chart, z), 0.0, z, cfg, work)
+            while stepper.t < cfg.t_end:
+                _, _, _, t1, z1, _ = stepper.step(cfg.t_end)
+                # ball_from_chart in Python floats, same operations; dividing by
+                # -scale south of the equator negates each quotient exactly
+                a, b, z3 = z1.tolist()
+                w0, w1, w2 = ((1.0, a, b) if chart == 1 else (a, 1.0, b) if chart == 2
+                              else (a, b, 1.0))
+                scale = math.sqrt(w0 * w0 + w1 * w1 + w2 * w2 + z3 * z3)
+                if z3 < 0.0:
+                    scale = -scale
+                u = (w0 / scale, w1 / scale, w2 / scale)
+                times.append(t1)
+                chart_ids.append(chart)
+                chart_states.append(z1)
+                ball_states.append(u)
+                if targets is not None:
+                    is_near = None
+                    norm_u = math.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2])
+                    # the negated test keeps a NaN window on the exact path
+                    if not (norm_u < near_lo or norm_u > near_hi):
+                        is_near = _row_norm(np.array(u) - tgt) <= convergence_radius
+                        if was_near is not None and np.any(was_near & is_near):
+                            termination = "converged_to_point"
+                            break
+                    was_near = is_near
+                # u carries the pivot of the chart as its own sphere component
+                if abs(u[chart - 1]) < _SWITCH_THRESHOLD:
+                    ysph = cpt.chart_point_to_sphere(chart, z1)
+                    if z1[2] < 0:
+                        ysph = -ysph
+                    cand = cpt.best_chart(ysph)
+                    if cand != chart and (abs(float(ysph[cand - 1]))
+                                          >= _SWITCH_THRESHOLD + _SWITCH_HYSTERESIS):
+                        chart_log.append((t1, chart, cand))
+                        chart = cand
+                        z_new = cpt.chart_coords(ysph, chart)
+                        stepper = _Stepper(make_rhs(chart, z_new), t1, z_new, cfg, work)
+        except _StepCollapse as exc:
+            termination = "step_size_collapse"
+            note = str(exc)
 
     return Trajectory(
         times=np.array(times),
@@ -475,6 +481,8 @@ _LYAPUNOV_MIN_TIME = 10.0
 # sup-norm radius beyond which the base trajectory counts as diverged
 _DIVERGENCE_GUARD = 1e3
 
+_EYE3 = np.eye(3)
+
 
 def lyapunov_spectrum(field, x0, cfg: IntegratorConfig, renorm_dt: float, *,
                       jacobian) -> LyapunovSpectrum:
@@ -491,6 +499,7 @@ def lyapunov_spectrum(field, x0, cfg: IntegratorConfig, renorm_dt: float, *,
     segments, each of at least one step and of steps no longer than
     ``cfg.max_step``, may plan at most ``MAX_PLANNED_STEPS`` steps.
     One stepper runs them all, restarting at each renormalised state.
+    The state needs at least three components, one per frame vector.
 
     If the base trajectory diverges (leaves the sup-norm ball of radius
     1e3, or collapses the step size) before convergence, the partial
@@ -505,6 +514,8 @@ def lyapunov_spectrum(field, x0, cfg: IntegratorConfig, renorm_dt: float, *,
                          "segments times renorm_dt / max_step")
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
+    if n < 3:
+        raise ValueError(f"the state needs at least 3 components for 3 frame vectors, got {n}")
 
     def ext_rhs(yext: np.ndarray) -> np.ndarray:
         base = yext[:n]
@@ -524,45 +535,49 @@ def lyapunov_spectrum(field, x0, cfg: IntegratorConfig, renorm_dt: float, *,
     note = ""
     work = _new_work()
 
-    try:
-        stepper = _Stepper(ext_rhs, 0.0, state, cfg, work)
-        for k in range(math.ceil(segments)):
-            if k:
-                stepper.restart(0.0, state)
-            while stepper.t < renorm_dt:
-                stepper.step(renorm_dt)
-            state = stepper.y
-            if float(np.max(np.abs(state[:n]))) > _DIVERGENCE_GUARD:
-                note = "base trajectory left the divergence guard ball"
-                break
-            frame = state[n:].reshape(3, n)
-            # modified Gram-Schmidt with log-stretch accounting
-            for i in range(3):
-                for j in range(i):
-                    frame[i] -= (frame[i] @ frame[j]) * frame[j]
-                r = math.sqrt(float(frame[i].dot(frame[i])))
-                if r == 0.0 or not math.isfinite(r):
-                    raise _StepCollapse("tangent frame degenerated")
-                sums[i] += math.log(r)
-                frame[i] /= r
-            max_defect = max(max_defect, float(np.max(np.abs(frame @ frame.T - np.eye(3)))))
-            state[n:] = frame.ravel()
-            t_acc += renorm_dt
-            running = np.sort(sums / t_acc)[::-1]
-            history.append((t_acc, running))
-            if t_acc >= _LYAPUNOV_MIN_TIME:
-                # history times increase, so the entries at or before the
-                # cutoff form a prefix whose end only moves forward
-                cutoff = 0.75 * t_acc
-                while n_past < len(history) and history[n_past][0] <= cutoff:
-                    n_past += 1
-                if n_past:
-                    drift = float(np.max(np.abs(history[n_past - 1][1] - running)))
-                    if drift < _LYAPUNOV_TOL:
-                        converged = True
-                        break
-    except _StepCollapse as exc:
-        note = f"base trajectory diverged: {exc}"
+    with np.errstate(all="ignore"):
+        try:
+            stepper = _Stepper(ext_rhs, 0.0, state, cfg, work)
+            for k in range(math.ceil(segments)):
+                if k:
+                    stepper.restart(0.0, state)
+                while stepper.t < renorm_dt:
+                    stepper.step(renorm_dt)
+                state = stepper.y
+                # an accepted state holds no NaN (np.maximum carries one into
+                # the error norm), so the Python max agrees with np.max
+                if max(map(abs, state[:n].tolist())) > _DIVERGENCE_GUARD:
+                    note = "base trajectory left the divergence guard ball"
+                    break
+                # modified Gram-Schmidt with log-stretch accounting, in place
+                # on the frame rows, which are views of state
+                frame = state[n:].reshape(3, n)
+                rows = tuple(frame)
+                for i, row in enumerate(rows):
+                    for prev in rows[:i]:
+                        row -= (row @ prev) * prev
+                    r = math.sqrt(float(row.dot(row)))
+                    if r == 0.0 or not math.isfinite(r):
+                        raise _StepCollapse("tangent frame degenerated")
+                    sums[i] += math.log(r)
+                    row /= r
+                max_defect = max(max_defect, float(np.max(np.abs(frame @ frame.T - _EYE3))))
+                t_acc += renorm_dt
+                running = np.sort(sums / t_acc)[::-1]
+                history.append((t_acc, running))
+                if t_acc >= _LYAPUNOV_MIN_TIME:
+                    # history times increase, so the entries at or before the
+                    # cutoff form a prefix whose end only moves forward
+                    cutoff = 0.75 * t_acc
+                    while n_past < len(history) and history[n_past][0] <= cutoff:
+                        n_past += 1
+                    if n_past:
+                        drift = float(np.max(np.abs(history[n_past - 1][1] - running)))
+                        if drift < _LYAPUNOV_TOL:
+                            converged = True
+                            break
+        except _StepCollapse as exc:
+            note = f"base trajectory diverged: {exc}"
 
     exponents = np.sort(sums / t_acc)[::-1] if t_acc > 0 else np.full(3, np.nan)
     return LyapunovSpectrum(exponents=exponents, t_used=t_acc, converged=converged,

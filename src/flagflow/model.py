@@ -107,6 +107,9 @@ def _poly_component(a, b, c):
     return 6.0 * b * c + a * a - b * b - c * c
 
 
+_F64 = np.dtype(np.float64)
+
+
 def poly_rhs(x) -> np.ndarray:
     """Quadratic polynomial system on all of R^3.
 
@@ -116,7 +119,9 @@ def poly_rhs(x) -> np.ndarray:
 
     Accepts a single 3-vector or an (..., 3) array (broadcasts).
     """
-    x = np.asarray(x, dtype=float)
+    # a float64 ndarray, as the integrators pass, needs no conversion
+    if x.__class__ is not np.ndarray or x.dtype is not _F64:
+        x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         # _poly_component inlined, same operation order
         a, b, c = x.tolist()
@@ -139,7 +144,8 @@ def poly_jacobian(x) -> np.ndarray:
 
     Accepts a single 3-vector or an (..., 3) array, giving (..., 3, 3).
     """
-    x = np.asarray(x, dtype=float)
+    if x.__class__ is not np.ndarray or x.dtype is not _F64:
+        x = np.asarray(x, dtype=float)
     batched = x.ndim > 1
     a, b, c = np.moveaxis(x, -1, 0) if batched else x.tolist()
     a2, b2, c2 = 2.0 * a, 2.0 * b, 2.0 * c

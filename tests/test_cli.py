@@ -77,6 +77,18 @@ class TestIntegrateCommand:
                     "--max-step", "1e-3", "--min-step", "1e-20"]) == 2
         assert "step_size_collapse" in capsys.readouterr().err
 
+    def test_ricci_collapse_prints_no_numpy_warning(self, tmp_path, capsys):
+        # the run collapses at the finite-time singularity of the metric
+        # flow; no numpy warning may reach the caller on the way there
+        out = tmp_path / "traj.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["integrate", "--system", "ricci", "--x0", "1,2,3", "--t-end", "5",
+                        "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "step_size_collapse" in err and "Warning" not in err
+
     def test_far_compactified_start(self):
         proc = run_cli(["integrate", "--compactified", "--x0", "1e300,1,1", "--t-end", "1"])
         assert proc.returncode == 0

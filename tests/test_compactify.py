@@ -272,6 +272,104 @@ class TestJacobianOfEveryDegree:
             assert -compactified_jacobian(f, chart, z)[2, 2] == pytest.approx(qs, rel=1e-13, abs=0)
 
 
+# chart -> (slot, a, b): the ambient index fixed to 1 in w and the two that
+# drive the first two chart velocities
+_SLOT_INDEX = {1: (0, 1, 2), 2: (1, 0, 2), 3: (2, 0, 1)}
+
+
+def _slot_index_field(f, chart, z):
+    """Copy of the slot-index chart field that the per-chart dispatch replaced."""
+    z1, z2, z3 = np.asarray(z, dtype=float).tolist()
+    slot, a, b = _SLOT_INDEX[chart]
+    w = [z1, z2]
+    w.insert(slot, 1.0)
+    q = f.func(np.array(w)).tolist()
+    qs = q[slot]
+    return np.array([-z1 * qs + q[a], -z2 * qs + q[b], -z3 * qs])
+
+
+def _slot_index_jacobian(f, chart, z):
+    """Copy of the slot-index chart Jacobian that the per-chart dispatch replaced."""
+    z1, z2, z3 = np.asarray(z, dtype=float).tolist()
+    slot, a, b = _SLOT_INDEX[chart]
+    w = [z1, z2]
+    w.insert(slot, 1.0)
+    pj = f.jac(np.array(w)).tolist()
+    js, ja, jb = pj[slot], pj[a], pj[b]
+    qs = (js[slot] + z1 * js[a] + z2 * js[b]) / f.degree
+    return np.array([
+        -qs - z1 * js[a] + ja[a], -z1 * js[b] + ja[b], 0.0,
+        -z2 * js[a] + jb[a], -qs - z2 * js[b] + jb[b], 0.0,
+        -z3 * js[a], -z3 * js[b], -qs,
+    ]).reshape(3, 3)
+
+
+class TestChartDispatch:
+    # each chart unpacks P(w) and J(w) in its own branch; the slot-index
+    # formula is the reference, bit for bit, for every degree and input form
+
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    @pytest.mark.parametrize("chart", [1, 2, 3])
+    def test_matches_slot_index_formula_bitwise(self, degree, chart):
+        f = HOMOGENEOUS_FIELDS[degree]
+        rng = np.random.default_rng(70 + 3 * degree + chart)
+        z = rng.standard_normal((200, 3)) * 10.0 ** rng.uniform(-3, 3, size=(200, 1))
+        z[:20, 2] = 0.0
+        z[20:40, 2] = -0.0
+        for zi in z:
+            for given in (zi, zi.tolist()):
+                assert compactified_field_array(f, chart, given).tobytes() == \
+                    _slot_index_field(f, chart, zi).tobytes()
+                assert compactified_jacobian(f, chart, given).tobytes() == \
+                    _slot_index_jacobian(f, chart, zi).tobytes()
+
+    @pytest.mark.parametrize("chart", [1, 2, 3])
+    @pytest.mark.parametrize("z", [
+        (0.5, -2, 0),
+        np.array([1, -3, 0]),
+        np.array([0.25, -1.5, 0.75], dtype=np.float32),
+        np.array([[0.3, 0.4, 0.5]])[0, ::-1],
+    ])
+    def test_other_input_forms_convert_as_before(self, field, chart, z):
+        # tuples with ints, integer and float32 arrays and strided views
+        assert compactified_field_array(field, chart, z).tobytes() == \
+            _slot_index_field(field, chart, z).tobytes()
+        assert compactified_jacobian(field, chart, z).tobytes() == \
+            _slot_index_jacobian(field, chart, z).tobytes()
+
+
+_Z = (0.3, -0.4, 0.5)
+_Y = np.array([0.5, 0.5, 0.5, 0.5])
+
+# every public entry point that takes a chart, called with that chart
+CHART_ENTRY_POINTS = {
+    "compactified_field_array": lambda c: compactified_field_array(model_poly_field(), c, _Z),
+    "compactified_jacobian": lambda c: compactified_jacobian(model_poly_field(), c, _Z),
+    "chart_coords": lambda c: chart_coords(_Y, c),
+    "chart_point_to_sphere": lambda c: chart_point_to_sphere(c, _Z),
+    "ball_from_chart": lambda c: compactify.ball_from_chart(c, _Z),
+    "classify_equilibrium": lambda c: classify_equilibrium(
+        model_poly_field(), c, 1.0, 1.0).eigenvalues,
+    "chart_equator_roots": lambda c: np.array(
+        chart_equator_roots(model_poly_field(), c, SearchConfig(grid_resolution=32))),
+}
+
+
+class TestChartArgument:
+    @pytest.mark.parametrize("entry", sorted(CHART_ENTRY_POINTS))
+    @pytest.mark.parametrize("chart", [1.5, "1", 1.0, np.float64(2.0), 0, 4, np.int64(-1), None])
+    def test_rejects_anything_but_an_integer_chart(self, entry, chart):
+        with pytest.raises(ValueError, match="chart must be 1, 2 or 3"):
+            CHART_ENTRY_POINTS[entry](chart)
+
+    @pytest.mark.parametrize("entry", sorted(CHART_ENTRY_POINTS))
+    @pytest.mark.parametrize("chart", [1, 2, 3])
+    def test_accepts_numpy_integers(self, entry, chart):
+        expected = CHART_ENTRY_POINTS[entry](chart).tobytes()
+        for cast in (np.int64, np.int32, np.uint8):
+            assert CHART_ENTRY_POINTS[entry](cast(chart)).tobytes() == expected
+
+
 class TestEquatorCensus:
     def test_seven_roots_per_chart(self, field):
         for chart in (1, 2, 3):

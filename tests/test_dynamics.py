@@ -315,6 +315,15 @@ class TestLyapunovSpectrum:
             lyapunov_spectrum(decay_field, (1.0, 0.0, 0.0), cfg, renorm_dt,
                               jacobian=lambda x: -np.eye(3))
 
+    @pytest.mark.parametrize("x0", [(1.0, 2.0), (1.0,), ()])
+    def test_rejects_states_of_fewer_than_three_components(self, x0):
+        # three frame vectors need three dimensions; a smaller state used to
+        # come back as nan exponents with a "diverged" note
+        n = len(x0)
+        with pytest.raises(ValueError, match="at least 3 components"):
+            lyapunov_spectrum(decay_field, x0, IntegratorConfig(t_end=1.0), 0.1,
+                              jacobian=lambda x: -np.eye(n))
+
 
 class TestDistanceToLine:
     def test_on_ray_distance_vanishes(self):
@@ -713,7 +722,8 @@ class TestStepperMatchesReference:
                     per_step.append(calls[0] - before)
             return steps, str(collapse.value), per_step, stepper
 
-        with np.errstate(over="ignore"):
+        # the stepper's caller holds the error state, as the integrators do
+        with np.errstate(all="ignore"):
             cur = run(lambda f: dynamics._Stepper(f, 0.0, y0, cfg, dynamics._new_work()))
             ref = run(lambda f: _ParentStepper(f, 0.0, y0, cfg))
         assert cur[:2] == ref[:2]
@@ -920,6 +930,80 @@ class TestWorkCounters:
         tr = Trajectory(times=np.array([0.0]), states=np.zeros((1, 3)),
                         termination="reached_t_end")
         assert tr.work == {}
+
+
+def _finite_once(func):
+    """``func`` at its first call, NaN at every later one: the run collapses."""
+    calls = []
+
+    def wrapped(x):
+        calls.append(1)
+        return func(x) if len(calls) == 1 else np.full(np.shape(x), np.nan)
+    return wrapped
+
+
+def _raising(x):
+    raise KeyError("field failure")
+
+
+_A_DIAG = np.diag([-1.0, -2.0, -3.0])
+
+# each integrator ends normally, in a step-size collapse, or with the field's
+# own exception; the error state must come back as it was in every case
+_INTEGRATOR_RUNS = {
+    "events": lambda field: integrate_with_events(
+        field, (1.0, 0.5, 0.2), IntegratorConfig(t_end=1.0)),
+    "compactified": lambda field: integrate_compactified(
+        PolyField3(func=field, jac=poly_jacobian, degree=2), (1.2, 1.2, 1.2),
+        IntegratorConfig(t_end=1.0)),
+    "lyapunov": lambda field: lyapunov_spectrum(
+        field, (0.3, 0.3, 0.3), IntegratorConfig(t_end=1.0), 0.1, jacobian=lambda x: _A_DIAG),
+}
+
+
+class TestErrorState:
+    # the integrators enter np.errstate(all="ignore") once per run and the
+    # stepper itself sets nothing
+
+    @staticmethod
+    def _outside():
+        # a state no integrator would set, so a leak or a reset shows
+        return np.errstate(divide="warn", over="raise", under="print", invalid="call")
+
+    @pytest.mark.parametrize("integrator", sorted(_INTEGRATOR_RUNS))
+    def test_restored_after_a_normal_run(self, integrator):
+        seen = []
+
+        def field(x):
+            seen.append(np.geterr())
+            return poly_rhs(x) if integrator == "compactified" else -np.asarray(x, dtype=float)
+
+        with self._outside():
+            before = np.geterr()
+            result = _INTEGRATOR_RUNS[integrator](field)
+            assert np.geterr() == before
+        assert getattr(result, "termination", "reached_t_end") == "reached_t_end"
+        assert seen and all(err == dict.fromkeys(before, "ignore") for err in seen)
+
+    @pytest.mark.parametrize("integrator", sorted(_INTEGRATOR_RUNS))
+    def test_restored_after_a_collapse(self, integrator):
+        base = poly_rhs if integrator == "compactified" else (lambda x: -np.asarray(x, dtype=float))
+        with self._outside():
+            before = np.geterr()
+            result = _INTEGRATOR_RUNS[integrator](_finite_once(base))
+            assert np.geterr() == before
+        if integrator == "lyapunov":
+            assert result.note.startswith("base trajectory diverged: repeated rejected steps")
+        else:
+            assert result.termination == "step_size_collapse"
+
+    @pytest.mark.parametrize("integrator", sorted(_INTEGRATOR_RUNS))
+    def test_restored_after_the_field_raises(self, integrator):
+        with self._outside():
+            before = np.geterr()
+            with pytest.raises(KeyError, match="field failure"):
+                _INTEGRATOR_RUNS[integrator](_raising)
+            assert np.geterr() == before
 
 
 class TestBlowUpRadius:
