@@ -136,6 +136,10 @@ class _Stepper:
     ``restart`` and ``step``: each integrator enters it once per run, since a
     non-finite trial stage is an expected event here, not a warning.
 
+    The stepper copies every value of ``func`` it keeps (the start value
+    in ``restart``, each stage into its row of the stage buffer), so
+    ``func`` may return the same buffer, overwritten, on every call.
+
     ``work`` holds the counters of one run: each start, at construction or
     ``restart`` (once per Lyapunov segment), is one of ``steppers`` and one
     of ``evaluations``, so evaluations = steppers + 6 * (accepted + rejected).
@@ -160,8 +164,8 @@ class _Stepper:
         self.y = np.array(y0, dtype=float)
         self.work["steppers"] += 1
         self.work["evaluations"] += 1
-        self.f = np.asarray(self.func(self.y), dtype=float)
-        if not np.all(np.isfinite(self.f)):
+        self.f = np.array(self.func(self.y), dtype=float)
+        if not np.isfinite(self.f).all():
             raise _StepCollapse("vector field not finite at the initial state")
         self.abs_y = np.abs(self.y)
 
@@ -499,7 +503,8 @@ def lyapunov_spectrum(field, x0, cfg: IntegratorConfig, renorm_dt: float, *,
     segments, each of at least one step and of steps no longer than
     ``cfg.max_step``, may plan at most ``MAX_PLANNED_STEPS`` steps.
     One stepper runs them all, restarting at each renormalised state.
-    The state needs at least three components, one per frame vector.
+    The state needs at least three components, one per frame vector, and
+    ``renorm_dt`` must not exceed ``cfg.t_end``.
 
     If the base trajectory diverges (leaves the sup-norm ball of radius
     1e3, or collapses the step size) before convergence, the partial
@@ -512,16 +517,24 @@ def lyapunov_spectrum(field, x0, cfg: IntegratorConfig, renorm_dt: float, *,
     _check_planned_steps(segments, "t_end / renorm_dt")
     _check_planned_steps(math.ceil(segments) * max(1.0, renorm_dt / cfg.max_step),
                          "segments times renorm_dt / max_step")
+    # a segment longer than the run would integrate far past t_end
+    if renorm_dt > cfg.t_end:
+        raise ValueError(f"renorm_dt must not exceed t_end, got {renorm_dt:g} > {cfg.t_end:g}")
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
     if n < 3:
         raise ValueError(f"the state needs at least 3 components for 3 frame vectors, got {n}")
 
+    # one output buffer per run, which the stepper copies from (see
+    # _Stepper); ndarray.dot skips np.dot's dispatcher, same BLAS call
+    out = np.empty(4 * n)
+    out_base = out[:n]
+    out_tangent = out[n:].reshape(3, n)
+
     def ext_rhs(yext: np.ndarray) -> np.ndarray:
         base = yext[:n]
-        out = np.empty(yext.shape)
-        out[:n] = field(base)
-        np.dot(yext[n:].reshape(3, n), jacobian(base).T, out=out[n:].reshape(3, n))
+        out_base[...] = field(base)
+        yext[n:].reshape(3, n).dot(jacobian(base).T, out=out_tangent)
         return out
 
     frame = np.eye(3, n)
@@ -555,13 +568,13 @@ def lyapunov_spectrum(field, x0, cfg: IntegratorConfig, renorm_dt: float, *,
                 rows = tuple(frame)
                 for i, row in enumerate(rows):
                     for prev in rows[:i]:
-                        row -= (row @ prev) * prev
+                        row -= row.dot(prev) * prev
                     r = math.sqrt(float(row.dot(row)))
                     if r == 0.0 or not math.isfinite(r):
                         raise _StepCollapse("tangent frame degenerated")
                     sums[i] += math.log(r)
                     row /= r
-                max_defect = max(max_defect, float(np.max(np.abs(frame @ frame.T - _EYE3))))
+                max_defect = max(max_defect, float(abs(frame @ frame.T - _EYE3).max()))
                 t_acc += renorm_dt
                 running = np.sort(sums / t_acc)[::-1]
                 history.append((t_acc, running))
@@ -572,7 +585,7 @@ def lyapunov_spectrum(field, x0, cfg: IntegratorConfig, renorm_dt: float, *,
                     while n_past < len(history) and history[n_past][0] <= cutoff:
                         n_past += 1
                     if n_past:
-                        drift = float(np.max(np.abs(history[n_past - 1][1] - running)))
+                        drift = float(abs(history[n_past - 1][1] - running).max())
                         if drift < _LYAPUNOV_TOL:
                             converged = True
                             break

@@ -146,17 +146,26 @@ def poly_jacobian(x) -> np.ndarray:
     """
     if x.__class__ is not np.ndarray or x.dtype is not _F64:
         x = np.asarray(x, dtype=float)
-    batched = x.ndim > 1
-    a, b, c = np.moveaxis(x, -1, 0) if batched else x.tolist()
+    if x.ndim == 1:
+        # one point in Python floats; the batched entries below, same order
+        a, b, c = x.tolist()
+        a2, b2, c2 = 2.0 * a, 2.0 * b, 2.0 * c
+        a6, b6, c6 = 6.0 * a, 6.0 * b, 6.0 * c
+        # a flat list converts faster than nested rows
+        return np.array([
+            a2, c6 - b2, b6 - c2,
+            c6 - a2, b2, a6 - c2,
+            b6 - a2, a6 - b2, c2,
+        ]).reshape(3, 3)
+    a, b, c = np.moveaxis(x, -1, 0)
     a2, b2, c2 = 2.0 * a, 2.0 * b, 2.0 * c
     a6, b6, c6 = 6.0 * a, 6.0 * b, 6.0 * c
-    # a flat list converts faster than nested rows
     jac = np.array([
         a2, c6 - b2, b6 - c2,
         c6 - a2, b2, a6 - c2,
         b6 - a2, a6 - b2, c2,
     ]).reshape((3, 3) + x.shape[:-1])
-    return np.ascontiguousarray(np.moveaxis(jac, (0, 1), (-2, -1))) if batched else jac
+    return np.ascontiguousarray(np.moveaxis(jac, (0, 1), (-2, -1)))
 
 
 def reparam_check(m) -> float:

@@ -374,6 +374,7 @@ class TestInputBoundary:
         (["basin", "--line", "2", "--delta", "inf"], 1),
         (["basin", "--line", "2", "--delta", "nan"], 1),
         (["lyapunov", "--lines", "4", "--t-max", "1e12"], 1),
+        (["lyapunov", "--lines", "2", "--renorm-dt", "1000", "--t-max", "1"], 1),
         (["ricci", "--metric", "1e-320,1,1"], 2),
         (["integrate", "--x0", "1,1,1", "--rel-tol", "inf", "--t-end", "0.1"], 1),
         (["integrate", "--x0", "1,1,1", "--abs-tol", "inf", "--t-end", "0.1"], 1),

@@ -303,7 +303,7 @@ class TestLyapunovSpectrum:
     @pytest.mark.parametrize("renorm_dt, t_end", [(1e300, 5.0), (2e4, 2e4)])
     def test_rejects_too_many_steps_in_long_segments(self, renorm_dt, t_end):
         # one segment of length renorm_dt runs renorm_dt / max_step steps
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="segments times renorm_dt / max_step"):
             lyapunov_spectrum(decay_field, (1.0, 0.0, 0.0),
                               IntegratorConfig(t_end=t_end, max_step=0.1), renorm_dt,
                               jacobian=lambda x: -np.eye(3))
@@ -314,6 +314,19 @@ class TestLyapunovSpectrum:
         with pytest.raises(ValueError):
             lyapunov_spectrum(decay_field, (1.0, 0.0, 0.0), cfg, renorm_dt,
                               jacobian=lambda x: -np.eye(3))
+
+    @pytest.mark.parametrize("renorm_dt, t_end", [(1000.0, 1.0), (1.5, 1.0)])
+    def test_rejects_a_segment_longer_than_the_run(self, renorm_dt, t_end):
+        # one such segment used to integrate far past t_end and could end
+        # in nan exponents with t_used 0
+        with pytest.raises(ValueError, match="renorm_dt must not exceed t_end"):
+            lyapunov_spectrum(decay_field, (1.0, 0.0, 0.0), IntegratorConfig(t_end=t_end),
+                              renorm_dt, jacobian=lambda x: -np.eye(3))
+
+    def test_accepts_one_segment_as_long_as_the_run(self):
+        spec = lyapunov_spectrum(decay_field, (1.0, 0.0, 0.0), IntegratorConfig(t_end=1.0),
+                                 1.0, jacobian=lambda x: -np.eye(3))
+        assert spec.t_used == 1.0 and len(spec.history) == 1
 
     @pytest.mark.parametrize("x0", [(1.0, 2.0), (1.0,), ()])
     def test_rejects_states_of_fewer_than_three_components(self, x0):
@@ -763,6 +776,74 @@ class TestStepperMatchesReference:
         stepper, _ = self._drive(huge_field, y0, IntegratorConfig(t_end=200.0, max_step=100.0),
                                  h0=hi)
         assert stepper.work["rejected"] > 0 and stepper.work["accepted"] > 0
+
+
+def _reused_buffer(func):
+    """``func`` writing every value into one buffer and returning that buffer."""
+    buf = []
+
+    def wrapped(*args):
+        value = func(*args)
+        if not buf:
+            buf.append(np.empty(np.shape(value)))
+        buf[0][...] = value
+        return buf[0]
+    return wrapped
+
+
+class TestStepperCopyContract:
+    # the stepper copies what it keeps of func's values, so a field that
+    # overwrites one buffer on every call runs bit for bit like one that
+    # returns fresh arrays.  Some runs below reject the first trial step
+    # after a (re)start or bisect it for the blow-up; both read the start
+    # value again after the stages have overwritten the buffer
+
+    @pytest.mark.parametrize("field, x0, t_end, radius", [
+        (poly_rhs, (1.0, 1.0, 1.0), 1.0, 1e6),
+        # the first step crosses the radius: the bisection reads f0 and f1
+        (poly_rhs, (1.0, 1.0, 1.0), 1.0, 1.0001),
+        # the first trial step leaves the domain and is rejected
+        (nan_beyond_field, (2.99, 0.5, 0.2), 1.0, None),
+        (ricci_field, (1.0, 2.0, 3.0), 5.0, None),
+    ])
+    def test_integrate_with_events(self, field, x0, t_end, radius):
+        def run(func):
+            return integrate_with_events(func, x0, IntegratorConfig(t_end=t_end),
+                                         blow_up_radius=radius)
+        fresh, reused = run(field), run(_reused_buffer(field))
+        _assert_same_trajectory(reused, fresh)
+        assert reused.work == fresh.work and reused.note == fresh.note
+        if radius == 1.0001:
+            assert fresh.termination == "blow_up_event" and fresh.work["accepted"] == 1
+        if field is nan_beyond_field:
+            assert fresh.work["rejected"] > 0 and fresh.times[-1] > 0.0
+
+    @pytest.mark.parametrize("field, x0, t_end", [
+        (model_poly_field(), (1.2, 1.2, 1.2), 20.0),
+        (linear_diag_field(), (5.0, 0.5, 0.5), 3.0),
+    ])
+    def test_integrate_compactified(self, monkeypatch, field, x0, t_end):
+        def run():
+            return integrate_compactified(field, x0, IntegratorConfig(t_end=t_end))
+        fresh = run()
+        monkeypatch.setattr(cpt, "compactified_field_array",
+                            _reused_buffer(cpt.compactified_field_array))
+        reused = run()
+        _assert_same_trajectory(reused, fresh)
+        assert reused.work == fresh.work
+
+    def test_lyapunov_spectrum(self):
+        # line 1 rejects the first trial step of almost every segment, and
+        # lyapunov_spectrum itself hands the stepper one buffer per run
+        field = model_poly_field()
+        z0 = chart_coords(sphere_from_ambient(2.0 * invariant_directions()[0]), 1)
+        cfg = IntegratorConfig(rel_tol=1e-7, abs_tol=1e-10, max_step=0.1, t_end=3.0)
+        fld = functools.partial(compactified_field_array, field, 1)
+        jac = functools.partial(compactified_jacobian, field, 1)
+        cur = lyapunov_spectrum(_reused_buffer(fld), z0, cfg, 0.1, jacobian=_reused_buffer(jac))
+        ref = _parent_lyapunov_spectrum(fld, z0, cfg, 0.1, jacobian=jac)
+        _assert_same_spectrum(cur, ref)
+        assert cur.work["rejected"] >= len(cur.history) - 1 > 0
 
 
 class TestCompactifiedLoopMatchesParent:

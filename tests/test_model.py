@@ -153,6 +153,24 @@ class TestPolyJacobian:
     def test_origin_is_zero(self):
         assert poly_jacobian((0.0, 0.0, 0.0)) == pytest.approx(np.zeros((3, 3)), abs=0)
 
+    def test_single_point_equals_batched_row_bitwise(self):
+        # the one-point branch builds the entries from Python floats, the
+        # batched one from arrays; both must round alike at any magnitude
+        rng = np.random.default_rng(140)
+        pts = rng.choice([-1.0, 1.0], size=(400, 3)) * 10.0 ** rng.uniform(-150, 150, (400, 3))
+        pts[:20] = rng.uniform(-3.0, 3.0, (20, 3))
+        batched = poly_jacobian(pts)
+        assert batched.shape == (400, 3, 3)
+        for x, row in zip(pts, batched):
+            for single in (poly_jacobian(x), poly_jacobian(x.tolist())):
+                assert single.shape == (3, 3) and single.flags.c_contiguous
+                assert single.tobytes() == row.tobytes()
+
+    @pytest.mark.parametrize("x", [(1, -2, 3), [0, 0, 7], np.array([4, 5, -6])])
+    def test_single_point_accepts_ints(self, x):
+        expected = poly_jacobian(np.array([x], dtype=float))[0]
+        assert poly_jacobian(x).tobytes() == expected.tobytes()
+
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(20240711)
         h = 1e-5
