@@ -374,7 +374,6 @@ class TestInputBoundary:
         (["basin", "--line", "2", "--delta", "inf"], 1),
         (["basin", "--line", "2", "--delta", "nan"], 1),
         (["lyapunov", "--lines", "4", "--t-max", "1e12"], 1),
-        (["lyapunov", "--lines", "2", "--renorm-dt", "1000", "--t-max", "1"], 1),
         (["ricci", "--metric", "1e-320,1,1"], 2),
         (["integrate", "--x0", "1,1,1", "--rel-tol", "inf", "--t-end", "0.1"], 1),
         (["integrate", "--x0", "1,1,1", "--abs-tol", "inf", "--t-end", "0.1"], 1),
@@ -398,6 +397,7 @@ class TestInputBoundary:
         (["lyapunov", "--lines", "2", "--charts", "1,1", "--t-max", "12"], 1),
         (["lyapunov", "--line", "2", "--t-max", "12"], 1),
         (["verify", "--check", "lines"], 1),
+        (["lyapunov", "--lines", "2", "--renorm-dt", "1000", "--t-max", "1"], 1),
     ])
     def test_rejected_input_gives_one_line(self, argv, code):
         proc = run_cli(argv)
