@@ -6,7 +6,7 @@
 # re-orthonormalizing it on a fixed cadence (the Benettin procedure)
 # estimates the Lyapunov exponents of that trajectory.
 #
-# Takes about 18 seconds (16.1-21.7 s over eight runs on a shared 2-vCPU
+# Takes about 11 seconds (10.7-11.4 s over four runs on a shared 2-vCPU
 # Xeon): the running averages settle at the 1e-3 level only after a few
 # hundred time units.
 

@@ -74,15 +74,19 @@ class PolyField3:
     """Homogeneous polynomial vector field on R^3: evaluator, Jacobian, degree.
 
     Every component must be homogeneous of exactly degree ``degree``; the
-    chart formulas rely on P(t*x) = t^d * P(x).  ``func`` must accept both
-    a 3-vector and an (N, 3) array of points, evaluated row by row, and
-    return a float ndarray of the same shape; the equator census calls it
-    on all grid seeds at once.  ``jac`` is only called on single 3-vectors
-    and returns a 3x3 float ndarray.
+    chart formulas rely on P(t*x) = t^d * P(x).  A single point reaches
+    ``func`` and ``jac`` as a tuple of three Python floats, for example
+    ``(1.0, z1, z2)`` in chart 1: ``func`` returns any sequence of three
+    floats and ``jac`` three rows of three, and the chart formulas unpack
+    them (a tuple answer, as ``poly_rhs`` and ``poly_jacobian`` give,
+    costs no array round trip).  ``func`` must also accept an (N, 3) float
+    array of points, evaluated row by row into an (N, 3) float ndarray;
+    the equator census calls it on all grid seeds at once.  ``jac`` is only
+    called on single points.
     """
 
-    func: Callable[[np.ndarray], np.ndarray]
-    jac: Callable[[np.ndarray], np.ndarray]
+    func: Callable
+    jac: Callable
     degree: int
 
     def __post_init__(self):
@@ -212,11 +216,11 @@ def compactified_field_array(f: PolyField3, chart: int, z) -> np.ndarray:
     # P at the ambient point w (1 in the chart slot, (z1, z2) in the other
     # two), unpacked as (slot, a, b) components
     if chart == 1:
-        qs, qa, qb = f.func(np.array((1.0, z1, z2))).tolist()
+        qs, qa, qb = f.func((1.0, z1, z2))
     elif chart == 2:
-        qa, qs, qb = f.func(np.array((z1, 1.0, z2))).tolist()
+        qa, qs, qb = f.func((z1, 1.0, z2))
     else:
-        qa, qb, qs = f.func(np.array((z1, z2, 1.0))).tolist()
+        qa, qb, qs = f.func((z1, z2, 1.0))
     return np.array([-z1 * qs + qa, -z2 * qs + qb, -z3 * qs])
 
 
@@ -235,11 +239,11 @@ def compactified_jacobian(f: PolyField3, chart: int, z) -> np.ndarray:
     # J(w) unpacked by chart: xy is the entry in row x, column y, with x and
     # y among (s)lot, a and b; the slot-a and slot-b entries go unused
     if chart == 1:
-        (ss, sa, sb), (_, aa, ab), (_, ba, bb) = f.jac(np.array((1.0, z1, z2))).tolist()
+        (ss, sa, sb), (_, aa, ab), (_, ba, bb) = f.jac((1.0, z1, z2))
     elif chart == 2:
-        (aa, _, ab), (sa, ss, sb), (ba, _, bb) = f.jac(np.array((z1, 1.0, z2))).tolist()
+        (aa, _, ab), (sa, ss, sb), (ba, _, bb) = f.jac((z1, 1.0, z2))
     else:
-        (aa, ab, _), (ba, bb, _), (sa, sb, ss) = f.jac(np.array((z1, z2, 1.0))).tolist()
+        (aa, ab, _), (ba, bb, _), (sa, sb, ss) = f.jac((z1, z2, 1.0))
     qs = (ss + z1 * sa + z2 * sb) / f.degree
     # a flat list converts faster than nested rows
     return np.array([

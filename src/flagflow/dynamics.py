@@ -71,7 +71,8 @@ class Trajectory:
     chart_ids: list[int] | None = None
     chart_states: np.ndarray | None = None
     chart_log: list[tuple[float, int, int]] | None = None
-    # integrator counters: steppers, evaluations, accepted, rejected
+    # integrator counters: steppers, evaluations, accepted, rejected, and
+    # the smallest and largest accepted step h_min, h_max
     work: dict = dataclass_field(default_factory=dict)
     # why the step size collapsed, on a step_size_collapse run
     note: str = ""
@@ -143,6 +144,9 @@ class _Stepper:
     ``work`` holds the counters of one run: each start, at construction or
     ``restart`` (once per Lyapunov segment), is one of ``steppers`` and one
     of ``evaluations``, so evaluations = steppers + 6 * (accepted + rejected).
+    ``h_min`` and ``h_max`` are the smallest and largest accepted step,
+    inf and 0 until a step is accepted; a step that lands on ``t_limit``
+    counts at its cut length.
     """
 
     def __init__(self, func, t0: float, y0: np.ndarray, cfg: IntegratorConfig, work: dict):
@@ -210,6 +214,10 @@ class _Stepper:
                 continue
             if err_norm <= 1.0:
                 work["accepted"] += 1
+                if h < work["h_min"]:
+                    work["h_min"] = h
+                if h > work["h_max"]:
+                    work["h_max"] = h
                 f_new = kmat[6].copy()
                 out = (self.t, y, self.f, self.t + h, yi, f_new)
                 self.t += h
@@ -226,7 +234,8 @@ class _Stepper:
 
 
 def _new_work() -> dict:
-    return {"steppers": 0, "evaluations": 0, "accepted": 0, "rejected": 0}
+    return {"steppers": 0, "evaluations": 0, "accepted": 0, "rejected": 0,
+            "h_min": math.inf, "h_max": 0.0}
 
 
 def ricci_field(x: np.ndarray) -> np.ndarray:

@@ -69,8 +69,9 @@ _BASE_RADIUS = 2.0
 # basin launch heights run from the ball image delta / sqrt(1 + delta^2) of
 # the sphere |x| = delta up to 0.98; from delta 4.925 on that band is empty
 MAX_BASIN_DELTA = 4.9
-# a basin sample takes about 7.5 ms (lines 1-4, seed 7, 2-vCPU Xeon), so the
-# cap bounds a line near 75 s
+# a basin sample takes about 6 ms (lines 1-4, seed 7, 200 samples each,
+# 5.4-7.4 ms over three runs on a shared 2-vCPU Xeon), so the cap bounds a
+# line near 60 s
 MAX_BASIN_SAMPLES = 10_000
 
 # octant-scan grids hold about resolution^2 / 2 points; a whole verify run
@@ -305,10 +306,19 @@ def lyapunov_exponent_table(lines: Sequence[int] = (1, 2, 3, 4),
     analytic chart Jacobian driving the tangent flow.
     Non-convergent rows (including base trajectories that leave the chart)
     are reported with their partial averages and ``converged=False``.
+    ``t_max`` must be a whole number of ``renorm_dt`` segments (within a
+    relative 1e-9): a spectrum runs whole segments only, so a partial last
+    one would run past ``t_max``.
     """
     field = cpt.model_poly_field()
     # exponents are compared at the 1e-3 level, so 1e-7 local tolerance is ample
     base_cfg = IntegratorConfig(rel_tol=1e-7, abs_tol=1e-10, max_step=0.1, t_end=t_max)
+    # lyapunov_spectrum rejects a renorm_dt that is not positive and finite,
+    # or that exceeds t_max (fewer than one segment)
+    segments = t_max / renorm_dt if renorm_dt > 0.0 else 0.0
+    if 1.0 <= segments < math.inf and abs(segments - round(segments)) > 1e-9 * segments:
+        raise ValueError(f"t_max must be a whole number of renorm_dt segments, got "
+                         f"t_max / renorm_dt = {t_max:g} / {renorm_dt:g} = {segments:.6g}")
     rows = []
     for line in lines:
         x0 = _BASE_RADIUS * line_direction(line)

@@ -110,24 +110,32 @@ def _poly_component(a, b, c):
 _F64 = np.dtype(np.float64)
 
 
-def poly_rhs(x) -> np.ndarray:
+def poly_rhs(x):
     """Quadratic polynomial system on all of R^3.
 
     Equals 12*l12*l13*l23 * ricci_components on the open first octant
     (see ``reparam_check``) but is defined and homogeneous of degree 2
     everywhere: poly_rhs(c*x) = c^2 * poly_rhs(x) for every real c.
 
-    Accepts a single 3-vector or an (..., 3) array (broadcasts).
+    A tuple (a, b, c) is one point in Python floats and gives a 3-tuple of
+    floats; the chart formulas pass their points this way.  Any other
+    3-vector gives a float ndarray of the same values, and an (..., 3)
+    array gives (..., 3), row by row with the same operations.
     """
+    if x.__class__ is tuple:
+        a, b, c = x
+        # an int or numpy scalar point computes as the float rows do
+        if a.__class__ is not float or b.__class__ is not float or c.__class__ is not float:
+            a, b, c = float(a), float(b), float(c)
+        # _poly_component inlined, same operation order
+        return (6.0 * b * c + a * a - b * b - c * c,
+                6.0 * a * c + b * b - a * a - c * c,
+                6.0 * a * b + c * c - a * a - b * b)
     # a float64 ndarray, as the integrators pass, needs no conversion
     if x.__class__ is not np.ndarray or x.dtype is not _F64:
         x = np.asarray(x, dtype=float)
     if x.ndim == 1:
-        # _poly_component inlined, same operation order
-        a, b, c = x.tolist()
-        return np.array([6.0 * b * c + a * a - b * b - c * c,
-                         6.0 * a * c + b * b - a * a - c * c,
-                         6.0 * a * b + c * c - a * a - b * b])
+        return np.array(poly_rhs(tuple(x.tolist())))
     a, b, c = x[..., 0], x[..., 1], x[..., 2]
     return np.stack(
         [
@@ -139,24 +147,27 @@ def poly_rhs(x) -> np.ndarray:
     )
 
 
-def poly_jacobian(x) -> np.ndarray:
+def poly_jacobian(x):
     """Analytic 3x3 Jacobian of :func:`poly_rhs` at a point.
 
-    Accepts a single 3-vector or an (..., 3) array, giving (..., 3, 3).
+    A tuple (a, b, c) gives three rows of three Python floats; any other
+    3-vector gives a (3, 3) float ndarray, and an (..., 3) array gives
+    (..., 3, 3), with the same operations.
     """
+    if x.__class__ is tuple:
+        a, b, c = x
+        if a.__class__ is not float or b.__class__ is not float or c.__class__ is not float:
+            a, b, c = float(a), float(b), float(c)
+        # the batched entries below, same operation order
+        a2, b2, c2 = 2.0 * a, 2.0 * b, 2.0 * c
+        a6, b6, c6 = 6.0 * a, 6.0 * b, 6.0 * c
+        return ((a2, c6 - b2, b6 - c2),
+                (c6 - a2, b2, a6 - c2),
+                (b6 - a2, a6 - b2, c2))
     if x.__class__ is not np.ndarray or x.dtype is not _F64:
         x = np.asarray(x, dtype=float)
     if x.ndim == 1:
-        # one point in Python floats; the batched entries below, same order
-        a, b, c = x.tolist()
-        a2, b2, c2 = 2.0 * a, 2.0 * b, 2.0 * c
-        a6, b6, c6 = 6.0 * a, 6.0 * b, 6.0 * c
-        # a flat list converts faster than nested rows
-        return np.array([
-            a2, c6 - b2, b6 - c2,
-            c6 - a2, b2, a6 - c2,
-            b6 - a2, a6 - b2, c2,
-        ]).reshape(3, 3)
+        return np.array(poly_jacobian(tuple(x.tolist())))
     a, b, c = np.moveaxis(x, -1, 0)
     a2, b2, c2 = 2.0 * a, 2.0 * b, 2.0 * c
     a6, b6, c6 = 6.0 * a, 6.0 * b, 6.0 * c

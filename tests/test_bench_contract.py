@@ -10,13 +10,18 @@ check them against the package.
 
 import importlib
 import importlib.util
+import json
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import flagflow
 from flagflow import cli
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
+SRC = pathlib.Path(flagflow.__file__).resolve().parents[1]
 
 
 def load(name: str):
@@ -52,3 +57,40 @@ def test_workload_command_lines_parse(monkeypatch, seed):
             # a renamed, removed or tightened flag raises ValueError here
             args = cli._build_parser().parse_args(command.argv)
             assert cli._options(args)["out"] == command.out
+
+
+# one CLI command under the benchmark's tracer, in a fresh process because
+# Tracer.install rebinds module attributes; the last stdout line is JSON
+TRACED_RUN = """
+import json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import flagflow.cli
+import spans
+tracer = spans.Tracer()
+tracer.install()
+code = flagflow.cli.run(sys.argv[3:])
+print(json.dumps({"code": code, "unwrapped": tracer.unwrapped_bindings(),
+                  "layers": tracer.layer_metrics()}))
+"""
+
+# spans that the single-point chart kernels reach through PolyField3.func
+# and .jac; bench/test_bench.py pins them nonzero on its workloads
+KERNEL_SPANS = ("compactify.field", "compactify.jacobian", "model.poly_rhs",
+                "model.poly_jacobian")
+
+
+@pytest.mark.parametrize("argv", [
+    ["basin", "--line", "2", "--samples", "2"],
+    ["lyapunov", "--lines", "2", "--t-max", "1"],
+], ids=["basin", "lyapunov"])
+def test_traced_command_reaches_every_kernel_span(tmp_path, argv):
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, str(SRC), str(BENCH), *argv,
+         "--out", str(tmp_path / "out")],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout.splitlines()[-1])
+    assert record["code"] in (0, 2)
+    assert record["unwrapped"] == []
+    calls = {span: record["layers"][f"{span}.calls"] for span in KERNEL_SPANS}
+    assert all(calls.values()), calls

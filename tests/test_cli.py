@@ -398,6 +398,8 @@ class TestInputBoundary:
         (["lyapunov", "--line", "2", "--t-max", "12"], 1),
         (["verify", "--check", "lines"], 1),
         (["lyapunov", "--lines", "2", "--renorm-dt", "1000", "--t-max", "1"], 1),
+        (["lyapunov", "--lines", "2", "--renorm-dt", "7", "--t-max", "12"], 1),
+        (["lyapunov", "--lines", "2", "--renorm-dt", "0.6", "--t-max", "1"], 1),
     ])
     def test_rejected_input_gives_one_line(self, argv, code):
         proc = run_cli(argv)

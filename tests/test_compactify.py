@@ -224,13 +224,19 @@ def _cubic(x):
     return x * poly_rhs(x)
 
 
+def _cubic_jac(x):
+    # diag(P(x)) + x J(x), the Jacobian of x * P(x); a tuple point, as the
+    # chart formulas pass, becomes an array first
+    x = np.asarray(x, dtype=float)
+    return np.diag(poly_rhs(x)) + x[:, None] * poly_jacobian(x)
+
+
 # one homogeneous field per degree; only the quadratic one is the model
 HOMOGENEOUS_FIELDS = {
     1: PolyField3(func=lambda x: np.asarray(x, dtype=float) @ _A_LINEAR.T,
                   jac=lambda x: _A_LINEAR, degree=1),
     2: model_poly_field(),
-    3: PolyField3(func=_cubic, jac=lambda x: np.diag(poly_rhs(x)) + x[:, None] * poly_jacobian(x),
-                  degree=3),
+    3: PolyField3(func=_cubic, jac=_cubic_jac, degree=3),
 }
 
 
@@ -336,6 +342,39 @@ class TestChartDispatch:
             _slot_index_field(field, chart, z).tobytes()
         assert compactified_jacobian(field, chart, z).tobytes() == \
             _slot_index_jacobian(field, chart, z).tobytes()
+
+
+class TestTuplePointContract:
+    # the chart formulas hand f.func and f.jac a tuple point and unpack any
+    # sequence they return, so a field that answers in ndarrays gives the
+    # same bytes as the model field, which answers tuples
+
+    @pytest.mark.parametrize("chart", [1, 2, 3])
+    def test_tuple_and_array_fields_give_identical_bytes(self, field, chart):
+        seen = []
+
+        def func(x):
+            seen.append(x)
+            return np.array(poly_rhs(x))
+
+        def jac(x):
+            seen.append(x)
+            return np.array(poly_jacobian(x))
+
+        wrapped = PolyField3(func=func, jac=jac, degree=2)
+        rng = np.random.default_rng(80 + chart)
+        z = rng.standard_normal((300, 3)) * 10.0 ** rng.uniform(-100, 100, size=(300, 1))
+        z[:20, 2] = 0.0
+        z[20:40, 2] = -0.0
+        for zi in z:
+            assert isinstance(field.func(tuple(zi.tolist())), tuple)
+            assert compactified_field_array(field, chart, zi).tobytes() == \
+                compactified_field_array(wrapped, chart, zi).tobytes()
+            assert compactified_jacobian(field, chart, zi).tobytes() == \
+                compactified_jacobian(wrapped, chart, zi).tobytes()
+        assert len(seen) == 2 * len(z)
+        assert all(type(x) is tuple and len(x) == 3 and all(type(v) is float for v in x)
+                   for x in seen)
 
 
 _Z = (0.3, -0.4, 0.5)

@@ -1007,6 +1007,19 @@ class TestWorkCounters:
         assert spec.work["steppers"] == len(spec.history) == 30
         self._check(spec.work)
 
+    def test_accepted_step_bounds(self):
+        # the sample times record each accepted h, up to the rounding of t + h
+        tr = integrate_with_events(decay_field, (1.0, 0.0, 0.0), IntegratorConfig(t_end=3.0))
+        steps = np.diff(tr.times)
+        assert tr.work["h_min"] == pytest.approx(min(steps), rel=1e-9)
+        assert tr.work["h_max"] == pytest.approx(max(steps), rel=1e-9)
+        assert tr.work["h_max"] <= 0.5
+        # a start beyond the blow-up radius stops before the first step
+        tr = integrate_with_events(poly_rhs, (2e6, 1.0, 1.0), IntegratorConfig(t_end=1.0),
+                                   blow_up_radius=1e6)
+        assert tr.work["accepted"] == 0
+        assert tr.work["h_min"] == math.inf and tr.work["h_max"] == 0.0
+
     def test_defaults_to_empty(self):
         tr = Trajectory(times=np.array([0.0]), states=np.zeros((1, 3)),
                         termination="reached_t_end")

@@ -195,9 +195,24 @@ class TestLyapunovTable:
     def test_rows_carry_work_counts(self, table):
         for row in table.rows:
             w = row.work
-            assert set(w) == {"steppers", "evaluations", "accepted", "rejected"}
+            assert set(w) == {"steppers", "evaluations", "accepted", "rejected",
+                              "h_min", "h_max"}
             assert w["steppers"] == round(row.t_used / 0.1)
             assert w["evaluations"] == w["steppers"] + 6 * (w["accepted"] + w["rejected"])
+            # no step is longer than a segment or than the base max_step 0.1
+            assert 0.0 < w["h_min"] <= w["h_max"] <= 0.1
+
+    @pytest.mark.parametrize("renorm_dt, t_max", [(7.0, 12.0), (0.6, 1.0), (0.3, 1.0)])
+    def test_rejects_a_partial_last_segment(self, renorm_dt, t_max):
+        # whole segments only, so a partial one would run past t_max
+        with pytest.raises(ValueError, match="whole number of renorm_dt segments"):
+            lyapunov_exponent_table(lines=(2,), renorm_dt=renorm_dt, t_max=t_max)
+
+    @pytest.mark.parametrize("renorm_dt, t_max", [(0.1, 0.3), (0.1, 0.7), (0.3, 0.9)])
+    def test_whole_segments_within_rounding_run_to_t_max(self, renorm_dt, t_max):
+        # 0.3 / 0.1 is 2.9999999999999996 in floats: a whole number within 1e-9
+        row = lyapunov_exponent_table(lines=(2,), renorm_dt=renorm_dt, t_max=t_max).row(2)
+        assert row.t_used == pytest.approx(t_max, rel=1e-12)
 
     def test_row_lookup(self, table):
         with pytest.raises(KeyError):

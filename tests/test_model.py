@@ -128,12 +128,30 @@ class TestPolyRhs:
         for row, x in zip(batch, pts):
             assert row == pytest.approx(poly_rhs(x), abs=0)
 
+    def test_tuple_point_gives_floats_equal_to_batched_row_bitwise(self):
+        # the tuple branch computes in Python floats, the batched one in
+        # arrays; both must round alike at any magnitude, ints included
+        rng = np.random.default_rng(150)
+        pts = rng.choice([-1.0, 1.0], size=(400, 3)) * 10.0 ** rng.uniform(-150, 150, (400, 3))
+        pts[:20] = rng.uniform(-3.0, 3.0, (20, 3))
+        ints = [tuple(int(v) for v in row) for row in rng.integers(-10**6, 10**6, (50, 3))]
+        # int arithmetic would square 2**53 + 1 exactly and round the sum differently
+        ints += [(2**53 + 1, 3, 5), (0, 0, 0), (1, -2, 3)]
+        batched = np.concatenate([poly_rhs(pts), poly_rhs(np.array(ints, dtype=float))])
+        assert batched.shape == (len(pts) + len(ints), 3)
+        for x, row in zip(pts.tolist() + ints, batched):
+            single = poly_rhs(tuple(x))
+            assert type(single) is tuple and all(type(v) is float for v in single)
+            assert np.array(single).tobytes() == row.tobytes()
+            assert poly_rhs(np.array(x, dtype=float)).tobytes() == row.tobytes()
+
     @given(st.tuples(state_values, state_values, state_values),
            st.floats(min_value=-2.0, max_value=2.0))
     @settings(deadline=None)
     def test_degree_two_homogeneity(self, x, c):
+        # a tuple point gives a tuple, so the scaling goes through an array
         assert poly_rhs(tuple(c * v for v in x)) == pytest.approx(
-            c * c * poly_rhs(x), rel=1e-10, abs=1e-10)
+            c * c * np.array(poly_rhs(x)), rel=1e-10, abs=1e-10)
 
     @given(st.tuples(state_values, state_values, state_values))
     @settings(deadline=None)
@@ -165,11 +183,21 @@ class TestPolyJacobian:
             for single in (poly_jacobian(x), poly_jacobian(x.tolist())):
                 assert single.shape == (3, 3) and single.flags.c_contiguous
                 assert single.tobytes() == row.tobytes()
+            rows = poly_jacobian(tuple(x.tolist()))
+            assert type(rows) is tuple and all(type(r) is tuple for r in rows)
+            assert all(type(v) is float for r in rows for v in r)
+            assert np.array(rows).tobytes() == row.tobytes()
 
-    @pytest.mark.parametrize("x", [(1, -2, 3), [0, 0, 7], np.array([4, 5, -6])])
+    @pytest.mark.parametrize("x", [(1, -2, 3), [0, 0, 7], np.array([4, 5, -6]),
+                                   (2**53 + 1, 3, 5)])
     def test_single_point_accepts_ints(self, x):
         expected = poly_jacobian(np.array([x], dtype=float))[0]
-        assert poly_jacobian(x).tobytes() == expected.tobytes()
+        got = poly_jacobian(x)
+        if isinstance(x, tuple):
+            # a tuple point gives three rows of Python floats
+            assert all(type(v) is float for row in got for v in row)
+            got = np.array(got)
+        assert got.tobytes() == expected.tobytes()
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(20240711)
