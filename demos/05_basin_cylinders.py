@@ -5,6 +5,13 @@
 # cylinder around it (radius 0.05 in ball coordinates, launch heights from
 # the sphere |x| = 0.6 outward) and integrate the compactified flow until
 # it settles at one of the equilibria at infinity.
+#
+# Settling at an attractor is proved, not sampled: each of the four
+# attractors at infinity (the diagonal and three mixed-sign points) has a
+# quadratic Lyapunov function V(e) = e^T M e whose sublevel set around it
+# provably flows to it.  A run stops at its first step inside a ball that
+# lies in that set (radius 0.057 around the diagonal, 0.071 around the
+# others), and the sample's end point is the attractor itself.
 
 import collections
 
@@ -29,17 +36,19 @@ for line in (1, 2, 3, 4):
 
 # What the numbers say:
 #
-# * Ray 2: every sample terminates at the diagonal equilibrium and the
-#   tube never widens beyond its launch radius.  The diagonal direction
-#   attracts an honest open neighbourhood: nearby left-invariant metrics
-#   flow to the normal (bi-invariant) Einstein metric.
+# * Ray 2: every sample enters the certified set of the diagonal
+#   equilibrium and the tube never widens beyond its launch radius.  The
+#   diagonal direction attracts an honest open neighbourhood: nearby
+#   left-invariant metrics flow to the normal (bi-invariant) Einstein metric.
 #
 # * Rays 1, 3, 4: no sample terminates at the ray's own equilibrium.  The
 #   equilibria are saddles with an unstable direction inside the sphere at
-#   infinity, so the tube tears off the ray: most samples land on the
-#   diagonal, the rest on the attracting mixed-sign equilibria outside the
-#   octant.  Only the ray itself (a measure-zero set) reaches the saddle,
-#   as demo 03's on-ray classification shows.
+#   infinity, so the tube tears off the ray: about half the samples land
+#   on the diagonal, the rest on one attracting mixed-sign equilibrium
+#   outside the octant ("elsewhere" above), each inside a certified set.  Only the ray
+#   itself (a measure-zero set) reaches the saddle, as demo 03's on-ray
+#   classification shows.  A saddle has no certificate; a run that settles
+#   there stops once two consecutive steps lie within 1e-7 of it.
 #
 # The three saddle rays are related by coordinate permutations, and their
 # tube statistics agree exactly (the sampling frames are built

@@ -23,6 +23,9 @@ component, which vanishes at z3 = 0, so the equator is invariant.
 Equilibria on the equator, their Jacobians and their stability types are
 found by a seeded Newton search per chart.
 
+Each attracting equilibrium can be given a quadratic Lyapunov certificate:
+a ball around it that provably flows to it (``attraction_certificate``).
+
 Points on the equator are recorded as *signed* ambient directions, one per
 covering chart (the chart-slot component positive).  A direction pair
 {d, -d} therefore contributes one point per sign that is visible in some
@@ -35,7 +38,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -59,6 +62,8 @@ __all__ = [
     "find_infinity_equilibria",
     "InfinityEquilibrium",
     "SearchConfig",
+    "AttractionCertificate",
+    "attraction_certificate",
 ]
 
 CHART_NAMES = {1: "U1", 2: "U2", 3: "U3"}
@@ -425,3 +430,142 @@ def find_infinity_equilibria(f: PolyField3, cfg: SearchConfig | None = None) -> 
                 found.append(eq)
     found.sort(key=lambda e: (e.chart, round(e.z[0], 9), round(e.z[1], 9)))
     return found
+
+
+# the stop ball is this fraction of the largest ball inside the certified
+# sublevel set, a margin for the rounding of the bound and of ball points
+_STOP_SAFETY = 0.9
+
+
+class AttractionCertificate(NamedTuple):
+    """Quadratic Lyapunov proof that a set around an attractor at infinity flows to it.
+
+    In the ball picture the flow has the orbits of the ball field
+    F(u) = P(u) - (u.P(u)) u (the integrators follow it up to a positive
+    time change).  With e = u - center and V(e) = e^T M e, V decreases
+    along F at every e with ``core_radius`` < |e| <= ``radius``, so the
+    sublevel set {V <= level}, which lies in |e| <= ``radius``, is forward
+    invariant, and every orbit in it approaches an attractor within
+    ``core_radius`` of the center (the center is a computed root, not an
+    exact one).  The ball of ``stop_radius`` around the center lies in
+    that set.
+    """
+
+    center: np.ndarray  # the attractor's ball point, its census direction
+    lyapunov_matrix: np.ndarray  # M, symmetric positive definite
+    level: float  # c = lambda_min(M) * radius^2
+    radius: float
+    core_radius: float
+    stop_radius: float
+
+
+def _ball_field_taylor(f: PolyField3, center) -> np.ndarray:
+    """Exact Taylor coefficients of the ball field F at ``center``.
+
+    Returns an array t of shape (3, n, n, n), n = d + 3, with
+    F_j(center + e) = sum over a of t[j, a] * e1^a1 * e2^a2 * e3^a3.  The
+    monomial coefficients of P come from one ``f.func`` call on the integer
+    points of the simplex {beta : |beta| = d}, which determine a homogeneous
+    polynomial of degree d.
+    """
+    d = f.degree
+    n = d + 3
+    betas = [(i, j, d - i - j) for i in range(d + 1) for j in range(d + 1 - i)]
+    vander = [[math.prod(p ** b for p, b in zip(pt, beta)) for beta in betas] for pt in betas]
+    coef = np.linalg.solve(np.array(vander, dtype=float),
+                           np.asarray(f.func(np.array(betas, dtype=float)), dtype=float))
+
+    def mul(p, q):
+        # product of two polynomials whose degrees sum to less than n
+        out = np.zeros((n, n, n))
+        for i, j, k in zip(*np.nonzero(p)):
+            out[i:, j:, k:] += p[i, j, k] * q[:n - i, :n - j, :n - k]
+        return out
+
+    u = np.zeros((3, n, n, n))  # u_i = center_i + e_i
+    u[:, 0, 0, 0] = center
+    u[0, 1, 0, 0] = u[1, 0, 1, 0] = u[2, 0, 0, 1] = 1.0
+    p_of_u = np.zeros((3, n, n, n))
+    for beta, c in zip(betas, coef):
+        mono = np.zeros((n, n, n))
+        mono[0, 0, 0] = 1.0
+        for i, b in enumerate(beta):
+            for _ in range(b):
+                mono = mul(u[i], mono)
+        p_of_u += c[:, None, None, None] * mono
+    u_dot_p = sum(mul(u[i], p_of_u[i]) for i in range(3))
+    return p_of_u - np.array([mul(u[j], u_dot_p) for j in range(3)])
+
+
+def _real_extremes(sym: np.ndarray) -> tuple[float, float]:
+    # smallest and largest eigenvalue of a symmetric matrix
+    eig = np.linalg.eigvals(sym).real
+    return float(eig.min()), float(eig.max())
+
+
+def attraction_certificate(f: PolyField3, eq: InfinityEquilibrium) -> AttractionCertificate | None:
+    """Certified attraction set of an attracting equilibrium at infinity, or None.
+
+    Expands the ball field at u* = ``eq.direction`` exactly:
+    F(u* + e) = F(u*) + A e + R_2(e) + ... + R_{d+2}(e), where each
+    component of R_k is at most its sum of absolute coefficients times
+    |e|^k, so |R_k(e)| <= c_k |e|^k.  M solves A^T M + M A = -I (one 9x9
+    solve, symmetrised) up to the residual E = A^T M + M A + I, so
+
+        dV/dt <= -|e|^2 ((1 - |E|) - 2 |M| (|F(u*)| / |e| + sum_k c_k |e|^(k-1))),
+
+    which is negative on an interval of |e|; its upper end is the
+    certified radius (found by bisection) and its lower end lies below
+    ``core_radius`` = 4 |M| |F(u*)| / (1 - |E|).  The stop radius is
+    ``_STOP_SAFETY`` times radius * sqrt(lambda_min(M) / lambda_max(M)),
+    the largest ball inside {V <= lambda_min(M) radius^2}.
+    Returns None when ``eq`` is not an attractor, M is not positive
+    definite, or the bound holds nowhere.  Matrix norms are spectral.
+    """
+    if eq.stability != "attractor":
+        return None
+    center = np.array(eq.direction, dtype=float)
+    taylor = _ball_field_taylor(f, center)
+    a = np.stack([taylor[:, 1, 0, 0], taylor[:, 0, 1, 0], taylor[:, 0, 0, 1]], axis=1)
+    residual = float(np.linalg.norm(taylor[:, 0, 0, 0]))
+    degree = np.indices(taylor.shape[1:]).sum(axis=0)
+    bounds = [float(np.linalg.norm(np.abs(taylor[:, degree == k]).sum(axis=1)))
+              for k in range(2, f.degree + 3)]
+    eye = np.eye(3)
+    lyap = np.linalg.solve(np.kron(eye, a.T) + np.kron(a.T, eye), -eye.ravel()).reshape(3, 3)
+    lyap = 0.5 * (lyap + lyap.T)
+    # M and E are symmetric, so their real spectra give both norms; eigvals
+    # is the LAPACK routine the census already loads
+    m_min, m_norm = _real_extremes(lyap)
+    if not m_min > 0.0:
+        return None
+    e_lo, e_hi = _real_extremes(a.T @ lyap + lyap @ a + eye)
+    e_norm = max(-e_lo, e_hi)
+    budget = (1.0 - e_norm) / (2.0 * m_norm)
+
+    def holds(r: float) -> bool:
+        return residual / r + sum(c * r ** (k + 1) for k, c in enumerate(bounds)) < budget
+
+    # below r0 <= 1 the remainder terms stay under half the budget, so the
+    # bound holds from core_radius (the residual term at the other half) to r0
+    r0 = min(1.0, 0.5 * budget / sum(bounds))
+    core = 2.0 * residual / budget
+    if not (budget > 0.0 and core < r0):
+        return None
+    # the bound is a convex function of r, so it holds on an interval: bisect
+    # for its upper end, capped at the ball's diameter
+    good, bad = r0, 2.0
+    if holds(bad):
+        good = bad
+    while bad - good > 1e-12 * good:
+        mid = 0.5 * (good + bad)
+        good, bad = (mid, bad) if holds(mid) else (good, mid)
+    level = m_min * good * good
+    return AttractionCertificate(
+        center=center,
+        lyapunov_matrix=lyap,
+        level=level,
+        radius=good,
+        core_radius=core,
+        stop_radius=_STOP_SAFETY * good * math.sqrt(m_min / m_norm),
+    )

@@ -8,7 +8,8 @@ step control on a mixed absolute/relative error norm.  On top of it:
   bisection on the cubic Hermite interpolant of the last step),
 * integration of the compactified field in the affine charts with
   automatic chart switching, ball-picture reporting and a stop once a
-  full step stays near one of several target points,
+  full step stays near one of several target points or on entry to a
+  certified attraction set,
 * Lyapunov spectra by co-integrating a tangent frame under the
   variational equations and re-orthonormalizing it on a fixed cadence,
 * distance from ball points to one of the four invariant rays.
@@ -74,8 +75,10 @@ class Trajectory:
     # integrator counters: steppers, evaluations, accepted, rejected, and
     # the smallest and largest accepted step h_min, h_max
     work: dict = dataclass_field(default_factory=dict)
-    # why the step size collapsed, on a step_size_collapse run
+    # why the step size collapsed, or which certified set the run entered
     note: str = ""
+    # center of the certified attraction set a run stopped in, else None
+    limit: np.ndarray | None = None
 
     def __post_init__(self):
         if self.termination not in TERMINATIONS:
@@ -357,7 +360,9 @@ def _near_window(tgt: np.ndarray, radius: float) -> tuple[float, float]:
 
 def integrate_compactified(f: cpt.PolyField3, x0, cfg: IntegratorConfig, *,
                            targets: Sequence[np.ndarray] | None = None,
-                           convergence_radius: float = 1e-3) -> Trajectory:
+                           convergence_radius: float = 1e-3,
+                           certified: Sequence[tuple[np.ndarray, float]] | None = None,
+                           ) -> Trajectory:
     """Integrate the compactified field from an ambient point x0.
 
     The state lives in one affine chart at a time; the chart is switched
@@ -366,8 +371,13 @@ def integrate_compactified(f: cpt.PolyField3, x0, cfg: IntegratorConfig, *,
     in ball coordinates, with the chart bookkeeping kept alongside.  When
     ``targets`` (ball points) are given, the run stops with
     ``converged_to_point`` once a full step stays within
-    ``convergence_radius`` of one of them.  The step cap is that of
-    :func:`integrate_with_events`.
+    ``convergence_radius`` of one of them.  ``certified`` holds (center,
+    stop radius) pairs of certified attraction sets (ball points, see
+    :func:`flagflow.compactify.attraction_certificate`): the run stops with
+    ``converged_to_point`` at the first accepted ball point within a stop
+    radius of its center, whose limit is then that center, reported as
+    ``Trajectory.limit`` and named in ``Trajectory.note``.  The step cap is
+    that of :func:`integrate_with_events`.
 
     The equator z3 = 0 is invariant, so an exact solution never crosses
     it; a trial step that does is rejected as if the field were not
@@ -389,7 +399,10 @@ def integrate_compactified(f: cpt.PolyField3, x0, cfg: IntegratorConfig, *,
     chart_log: list[tuple[float, int, int]] = []
     termination = "reached_t_end"
     note = ""
+    limit = None
     work = _new_work()
+    # each stop ball as Python floats: center coordinates and squared radius
+    stops = [(c, r, *(float(v) for v in c), float(r) ** 2) for c, r in certified or ()]
     if targets is not None:
         tgt = np.asarray(targets, dtype=float).reshape(-1, 3)
         was_near = _row_norm(np.array(ball_states[0]) - tgt) <= convergence_radius
@@ -430,6 +443,17 @@ def integrate_compactified(f: cpt.PolyField3, x0, cfg: IntegratorConfig, *,
                 chart_ids.append(chart)
                 chart_states.append(z1)
                 ball_states.append(u)
+                for center, radius, c0, c1, c2, r2 in stops:
+                    d0, d1, d2 = u[0] - c0, u[1] - c1, u[2] - c2
+                    if d0 * d0 + d1 * d1 + d2 * d2 <= r2:
+                        limit = np.array(center, dtype=float)
+                        note = (f"entered the certified attraction set of "
+                                f"({c0:.6f}, {c1:.6f}, {c2:.6f}) at stop radius "
+                                f"{radius:.4g}")
+                        break
+                if limit is not None:
+                    termination = "converged_to_point"
+                    break
                 if targets is not None:
                     is_near = None
                     norm_u = math.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2])
@@ -465,6 +489,7 @@ def integrate_compactified(f: cpt.PolyField3, x0, cfg: IntegratorConfig, *,
         chart_log=chart_log,
         work=work,
         note=note,
+        limit=limit,
     )
 
 

@@ -57,8 +57,9 @@ __all__ = [
 # direction when reporting convergence
 CONVERGED_DISTANCE = 1e-3
 
-# the integration itself stops deeper inside the convergence funnel, so the
-# terminal direction is accurate enough for Einstein-residual checks
+# runs that settle at a target without an attraction certificate stop deeper
+# inside the convergence funnel, so the terminal direction is accurate enough
+# for Einstein-residual checks
 _STOP_RADIUS = 1e-7
 
 _RUN_CFG = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-11, max_step=0.25, t_end=200.0)
@@ -69,9 +70,9 @@ _BASE_RADIUS = 2.0
 # basin launch heights run from the ball image delta / sqrt(1 + delta^2) of
 # the sphere |x| = delta up to 0.98; from delta 4.925 on that band is empty
 MAX_BASIN_DELTA = 4.9
-# a basin sample takes about 6 ms (lines 1-4, seed 7, 200 samples each,
-# 5.4-7.4 ms over three runs on a shared 2-vCPU Xeon), so the cap bounds a
-# line near 60 s
+# a basin sample takes about 2.5 ms (lines 1-4, seed 7, 200 samples each,
+# 2.2-2.6 ms over three runs on a shared 2-vCPU Xeon), so the cap bounds a
+# line near 25 s
 MAX_BASIN_SAMPLES = 10_000
 
 # octant-scan grids hold about resolution^2 / 2 points; a whole verify run
@@ -81,6 +82,11 @@ MAX_SCAN_RESOLUTION = 1600
 
 
 @functools.lru_cache(maxsize=1)
+def _census() -> tuple[cpt.InfinityEquilibrium, ...]:
+    """The equilibria at infinity of the quadratic field, computed once per process."""
+    return tuple(cpt.find_infinity_equilibria(cpt.model_poly_field()))
+
+
 def _equilibrium_targets() -> tuple[np.ndarray, ...]:
     """Directions of all equilibria at infinity, as run-termination targets.
 
@@ -88,8 +94,26 @@ def _equilibrium_targets() -> tuple[np.ndarray, ...]:
     outside the first octant; terminating there (instead of timing out)
     keeps the experiments honest about the limit and fast.
     """
-    eqs = cpt.find_infinity_equilibria(cpt.model_poly_field())
-    return tuple(e.direction for e in eqs)
+    return tuple(e.direction for e in _census())
+
+
+@functools.lru_cache(maxsize=1)
+def _basin_stops() -> tuple[tuple[np.ndarray, ...], tuple[tuple[np.ndarray, float], ...]]:
+    """Stop rules of the basin runs: (targets, certified (center, stop radius) pairs).
+
+    Every attractor at infinity with an attraction certificate stops a run
+    on entry to its stop ball; the other equilibria stay targets of the
+    two-point rule.
+    """
+    field = cpt.model_poly_field()
+    targets, certified = [], []
+    for eq in _census():
+        cert = cpt.attraction_certificate(field, eq)
+        if cert is None:
+            targets.append(eq.direction)
+        else:
+            certified.append((cert.center, cert.stop_radius))
+    return tuple(targets), tuple(certified)
 
 
 def _octant_grid(resolution: int) -> np.ndarray:
@@ -216,11 +240,15 @@ def cylinder_basin(line: int, epsilon: float, delta: float, n: int, seed: int) -
     uniform in height along the ray and in angle; heights range from the
     ball image of the ambient sphere |x| = delta, delta in [0.5, 4.9], up
     to ball radius 0.98.
-    Each sample is integrated with the compactified field until it settles
-    at one of the four equilibrium directions at infinity (or times out);
-    a sample counts as converged when it terminates within 1e-3 of the
-    ray's own direction.  ``max_deviation`` tracks the ball-coordinate
-    distance to the ray over the trajectory after launch.
+    Each sample is integrated with the compactified field until it enters
+    the certified attraction set of an attractor at infinity (see
+    :func:`flagflow.compactify.attraction_certificate`), settles at one of
+    the other equilibria at infinity, or times out.  ``end`` is the
+    attractor's census direction after a certified stop and the last
+    integrated point otherwise; a sample counts as converged when it
+    terminates with ``end`` within 1e-3 of the ray's own direction.
+    ``max_deviation`` is the largest ball-coordinate distance to the ray
+    over the integrated states after launch and the certified limit.
     """
     if not (0.0 < epsilon <= 0.1):
         raise ValueError("epsilon must lie in (0, 0.1]")
@@ -230,7 +258,7 @@ def cylinder_basin(line: int, epsilon: float, delta: float, n: int, seed: int) -
         raise ValueError(f"sample count must lie in [1, {MAX_BASIN_SAMPLES}]")
     field = cpt.model_poly_field()
     d, e1, e2 = _tube_frame(line)
-    targets = _equilibrium_targets()
+    targets, certified = _basin_stops()
     target = line_direction(line)
     r_lo = delta / math.sqrt(1.0 + delta * delta)
     r_hi = 0.98
@@ -245,11 +273,16 @@ def cylinder_basin(line: int, epsilon: float, delta: float, n: int, seed: int) -
         u0 = height * d + epsilon * (math.cos(angle) * e1 + math.sin(angle) * e2)
         x0 = cpt.ball_unprojection(u0)
         traj = integrate_compactified(field, x0, _RUN_CFG, targets=targets,
-                                      convergence_radius=_STOP_RADIUS)
-        end = traj.final_state
+                                      convergence_radius=_STOP_RADIUS, certified=certified)
+        states = traj.states[1:]
+        if traj.limit is None:
+            end = traj.final_state
+        else:
+            end = traj.limit
+            states = np.vstack([states, end])
         converged = (traj.termination == "converged_to_point"
                      and float(np.linalg.norm(end - target)) <= CONVERGED_DISTANCE)
-        devs = distance_to_line_ball(traj.states[1:], line)
+        devs = distance_to_line_ball(states, line)
         dev = float(devs.max()) if devs.size else 0.0
         n_conv += converged
         overall_dev = max(overall_dev, dev)

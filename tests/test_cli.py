@@ -476,7 +476,8 @@ CHEAP = {
     "lines": _subset(["1", "2", "3", "4"], 2),
     "charts": _subset(["1", "2", "3"], 2),
     "renorm_dt": _reals(0.05, 1.0),
-    "t_max": _reals(0.1, 5.0),
+    # whole renorm_dt segments, so a clean lyapunov draw runs a spectrum (_fuzz_args)
+    "t_max": st.integers(1, 5),
     "checks": _subset(["lines", "einstein", "reparam", "no-equilibria"], 4),
     "line": st.integers(1, 4).map(str),
     "epsilon": _reals(0.01, 0.1),
@@ -490,6 +491,7 @@ FUZZED_GLOBALS = {k: v for k, v in cli._GLOBALS.items() if k != "out"}
 
 def _fuzz_args(draw, table):
     argv = []
+    segment = 0.1  # the default renorm_dt, unless a valid one is drawn
     for key, (_, _, kwargs) in table.items():
         flag = "--" + key.replace("_", "-")
         if kwargs.get("action") == "store_true":
@@ -504,6 +506,10 @@ def _fuzz_args(draw, table):
             values = draw(st.lists(CHEAP[key], min_size=1, max_size=2))
         else:
             values = [draw(CHEAP[key])]
+            if key == "renorm_dt":
+                segment = float(values[0])
+            elif key == "t_max":
+                values = [repr(values[0] * segment)]
         argv += [f"{flag}={v}" for v in values]
     return argv
 

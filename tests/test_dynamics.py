@@ -201,6 +201,40 @@ class TestCompactifiedIntegration:
         assert np.all(tr.chart_states[:, 2] >= 0.0)
         assert np.linalg.norm(tr.final_state - invariant_directions()[1]) <= 1e-6
 
+    def test_certified_stop_cuts_the_run_at_first_entry(self):
+        field = model_poly_field()
+        center = invariant_directions()[1]
+        cfg = IntegratorConfig(t_end=50.0)
+        free = integrate_compactified(field, (1.2, 1.3, 1.1), cfg, targets=[center],
+                                      convergence_radius=1e-7)
+        tr = integrate_compactified(field, (1.2, 1.3, 1.1), cfg, certified=[(center, 0.05)])
+        n = len(tr.times)
+        # the same steps as the free run, up to its first point in the stop ball
+        assert tr.termination == "converged_to_point"
+        assert tr.states.tolist() == free.states[:n].tolist()
+        dist = np.linalg.norm(free.states - center, axis=1)
+        assert dist[n - 1] <= 0.05 and np.all(dist[:n - 1] > 0.05)
+        assert tr.limit.tolist() == center.tolist()
+        assert tr.final_state.tolist() == free.states[n - 1].tolist()
+        assert tr.note == ("entered the certified attraction set of (0.577350, 0.577350, "
+                           "0.577350) at stop radius 0.05")
+        assert tr.work["accepted"] == n - 1 < free.work["accepted"]
+
+    def test_start_inside_a_stop_ball_stops_at_the_first_step(self):
+        center = invariant_directions()[1]
+        x0 = cpt.ball_unprojection(0.99 * center)
+        tr = integrate_compactified(model_poly_field(), x0, IntegratorConfig(t_end=50.0),
+                                    certified=[(-center, 0.05), (center, 0.05)])
+        assert tr.termination == "converged_to_point" and len(tr.times) == 2
+        assert tr.limit.tolist() == center.tolist()
+
+    def test_without_certified_sets_there_is_no_limit(self):
+        tr = integrate_compactified(model_poly_field(), (1.2, 1.3, 1.1),
+                                    IntegratorConfig(t_end=50.0),
+                                    targets=[invariant_directions()[1]], convergence_radius=1e-5)
+        assert tr.termination == "converged_to_point"
+        assert tr.limit is None and tr.note == ""
+
     def test_csv_bookkeeping_fields(self):
         field = model_poly_field()
         tr = integrate_compactified(field, (1.2, 1.2, 1.2), IntegratorConfig(t_end=1.0))

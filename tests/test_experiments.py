@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from flagflow import experiments
+from flagflow.dynamics import distance_to_line_ball
 from flagflow.experiments import (
     classify_limit,
     cylinder_basin,
@@ -164,6 +165,58 @@ class TestCylinderBasin:
         a = cylinder_basin(2, 0.05, 0.6, 8, 11).to_dict()
         c = cylinder_basin(2, 0.05, 0.6, 8, 12).to_dict()
         assert a != c
+
+
+@pytest.fixture(scope="module")
+def certified_and_plain():
+    # lines 1-4 x 25 samples (seed 7), with the certified stops and with
+    # every equilibrium a target of the two-point 1e-7 rule, as before them
+    args = (0.05, 0.6, 25, 7)
+    certified = {j: cylinder_basin(j, *args) for j in (1, 2, 3, 4)}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "_basin_stops",
+                   lambda: (experiments._equilibrium_targets(), ()))
+        plain = {j: cylinder_basin(j, *args) for j in (1, 2, 3, 4)}
+    return certified, plain
+
+
+def _census_index(point):
+    dists = [np.linalg.norm(np.array(point) - d) for d in experiments._equilibrium_targets()]
+    k = int(np.argmin(dists))
+    return k, dists[k]
+
+
+class TestCertifiedStops:
+    def test_samples_land_where_the_plain_runs_land(self, certified_and_plain):
+        certified, plain = certified_and_plain
+        centers = [tuple(c.tolist()) for c, _ in experiments._basin_stops()[1]]
+        for j in (1, 2, 3, 4):
+            for a, b in zip(certified[j].records, plain[j].records):
+                assert a.start == b.start
+                assert a.termination == b.termination == "converged_to_point"
+                k, dist = _census_index(b.end)
+                assert dist <= 1e-3
+                # every sample stops in a certified set, at its census direction
+                assert a.end in centers and _census_index(a.end) == (k, 0.0)
+                assert a.converged == b.converged
+
+    def test_fractions_and_deviations_agree(self, certified_and_plain):
+        certified, plain = certified_and_plain
+        for j in (1, 2, 3, 4):
+            assert certified[j].converged_fraction == plain[j].converged_fraction
+            assert certified[j].max_line_deviation == pytest.approx(
+                plain[j].max_line_deviation, abs=1e-6)
+        saddles = [certified[j] for j in (1, 3, 4)]
+        assert len({r.converged_fraction for r in saddles}) == 1
+        for r in saddles[1:]:
+            assert r.max_line_deviation == pytest.approx(saddles[0].max_line_deviation,
+                                                         rel=1e-12)
+
+    def test_deviation_includes_the_certified_limit(self, certified_and_plain):
+        certified, _ = certified_and_plain
+        for j in (1, 2, 3, 4):
+            for r in certified[j].records:
+                assert r.max_deviation >= distance_to_line_ball(np.array(r.end), j)
 
 
 @pytest.fixture(scope="module")
