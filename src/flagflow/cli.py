@@ -344,16 +344,8 @@ def _cmd_plot(opts) -> tuple[str, int]:
         starts = [2.0 * d for d in model.invariant_directions()]
         starts.append(np.array([1.3, 1.1, 1.6]))
         starts.append(np.array([0.9, 2.4, 0.7]))
-    cfg = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-11, max_step=0.25, t_end=opts["t_end"])
-    field = cpt.model_poly_field()
-    eqs = cpt.find_infinity_equilibria(field)
-    targets = [e.direction for e in eqs]
-    trajectories = []
-    for x0 in starts:
-        traj = integrate_compactified(field, x0, cfg, targets=targets,
-                                      convergence_radius=1e-5)
-        trajectories.append(traj.states)
-    return ball_portrait_svg(eqs, trajectories), 0
+    trajectories = [experiments.run_to_limit(x0, opts["t_end"])[1] for x0 in starts]
+    return ball_portrait_svg(experiments._census(), trajectories), 0
 
 
 class _Command(NamedTuple):

@@ -7,9 +7,9 @@ step control on a mixed absolute/relative error norm.  On top of it:
 * event-terminated integration (sup-norm blow-up radius, localized by
   bisection on the cubic Hermite interpolant of the last step),
 * integration of the compactified field in the affine charts with
-  automatic chart switching, ball-picture reporting and a stop once a
-  full step stays near one of several target points or on entry to a
-  certified attraction set,
+  automatic chart switching, ball-picture reporting and a stop once two
+  consecutive points lie within ``STOP_RADIUS`` of a target or on entry
+  to a certified attraction set,
 * Lyapunov spectra by co-integrating a tangent frame under the
   variational equations and re-orthonormalizing it on a fixed cadence,
 * distance from ball points to one of the four invariant rays.
@@ -337,30 +337,14 @@ def _check_planned_steps(steps: float, what: str) -> None:
 _SWITCH_THRESHOLD = 0.3
 _SWITCH_HYSTERESIS = 0.05
 
-# rounding margin of the target prefilter, relative to 1 + max |t| + |r|
-_NEAR_MARGIN = 16.0 * math.ulp(1.0)
-
-
-def _near_window(tgt: np.ndarray, radius: float) -> tuple[float, float]:
-    """Norm window outside which no ball point is within ``radius`` of a target.
-
-    By the reverse triangle inequality |u - t| >= ||u| - |t||, so a ball
-    point u (|u| <= 1) whose computed norm lies outside
-    [min |t| - r - m, max |t| + r + m] has every computed ``_row_norm``
-    distance above r.  Each computed norm (of u, of t and of u - t) is
-    within 2 ulp(1) of its exact value, relatively, so m needs about
-    5 ulp(1) of 1 + max |t| + |r|; ``_NEAR_MARGIN`` leaves room to spare.
-    A NaN bound (a NaN target or radius) keeps every point inside.
-    """
-    norms = _row_norm(tgt)
-    n_hi = float(np.max(norms, initial=-math.inf))
-    pad = radius + _NEAR_MARGIN * (1.0 + max(n_hi, 0.0) + abs(radius))
-    return float(np.min(norms, initial=math.inf)) - pad, n_hi + pad
+# a run stops at a target once two consecutive accepted ball points lie
+# within this radius of it, deep enough in the convergence funnel that the
+# terminal direction serves Einstein-residual checks
+STOP_RADIUS = 1e-7
 
 
 def integrate_compactified(f: cpt.PolyField3, x0, cfg: IntegratorConfig, *,
                            targets: Sequence[np.ndarray] | None = None,
-                           convergence_radius: float = 1e-3,
                            certified: Sequence[tuple[np.ndarray, float]] | None = None,
                            ) -> Trajectory:
     """Integrate the compactified field from an ambient point x0.
@@ -368,16 +352,20 @@ def integrate_compactified(f: cpt.PolyField3, x0, cfg: IntegratorConfig, *,
     The state lives in one affine chart at a time; the chart is switched
     whenever the magnitude of the current dividing sphere coordinate drops
     below 0.3 and another chart's clears 0.35.  The trajectory is reported
-    in ball coordinates, with the chart bookkeeping kept alongside.  When
-    ``targets`` (ball points) are given, the run stops with
-    ``converged_to_point`` once a full step stays within
-    ``convergence_radius`` of one of them.  ``certified`` holds (center,
-    stop radius) pairs of certified attraction sets (ball points, see
-    :func:`flagflow.compactify.attraction_certificate`): the run stops with
-    ``converged_to_point`` at the first accepted ball point within a stop
-    radius of its center, whose limit is then that center, reported as
-    ``Trajectory.limit`` and named in ``Trajectory.note``.  The step cap is
-    that of :func:`integrate_with_events`.
+    in ball coordinates, with the chart bookkeeping kept alongside.
+
+    Two kinds of stop end a run with ``converged_to_point``, both tested in
+    one pass over a table of Python floats per accepted step.
+    ``certified`` holds (center, stop radius) pairs of certified attraction
+    sets (ball points, see :func:`flagflow.compactify.attraction_certificate`):
+    the run stops at the first accepted ball point within a stop radius of
+    its center, whose limit is then that center, reported as
+    ``Trajectory.limit`` and named in ``Trajectory.note``.  ``targets``
+    (ball points) stop the run once two consecutive ball points, the start
+    included, lie within ``STOP_RADIUS`` of the same target.  The step cap
+    is that of :func:`integrate_with_events`.  A start whose coordinates
+    are all within about 1e-12 of zero lies in no affine chart and raises
+    ValueError.
 
     The equator z3 = 0 is invariant, so an exact solution never crosses
     it; a trial step that does is rejected as if the field were not
@@ -388,7 +376,12 @@ def integrate_compactified(f: cpt.PolyField3, x0, cfg: IntegratorConfig, *,
     _check_planned_steps(cfg.t_end / cfg.max_step, "t_end / max_step")
     y = cpt.sphere_from_ambient(np.asarray(x0, dtype=float))
     chart = cpt.best_chart(y)
-    z = cpt.chart_coords(y, chart)
+    try:
+        z = cpt.chart_coords(y, chart)
+    except ValueError:
+        # the best chart divides by the largest of |y1|, |y2|, |y3|
+        raise ValueError("every coordinate of the start is within about 1e-12 of zero, "
+                         "so no affine chart covers it") from None
     # ball coordinates of the northern-hemisphere point a chart state tracks
     u = cpt.ball_from_chart(chart, z)
 
@@ -401,12 +394,21 @@ def integrate_compactified(f: cpt.PolyField3, x0, cfg: IntegratorConfig, *,
     note = ""
     limit = None
     work = _new_work()
-    # each stop ball as Python floats: center coordinates and squared radius
-    stops = [(c, r, *(float(v) for v in c), float(r) ** 2) for c, r in certified or ()]
+    # the stop table in Python floats: center, squared radius, and the stop
+    # radius of a certified set or None for a target.  Certified sets come
+    # first, so they win a step that also completes a target's two points.
+    stops = [(*np.asarray(c, dtype=float).tolist(), float(r) ** 2, float(r))
+             for c, r in certified or ()]
     if targets is not None:
-        tgt = np.asarray(targets, dtype=float).reshape(-1, 3)
-        was_near = _row_norm(np.array(ball_states[0]) - tgt) <= convergence_radius
-        near_lo, near_hi = _near_window(tgt, convergence_radius)
+        stops += [(*c, STOP_RADIUS ** 2, None)
+                  for c in np.asarray(targets, dtype=float).reshape(-1, 3).tolist()]
+    # indices of the targets the previous ball point lies near
+    was_near = ()
+    p0, p1, p2 = ball_states[0]
+    for k, (c0, c1, c2, r2, radius) in enumerate(stops):
+        d0, d1, d2 = p0 - c0, p1 - c1, p2 - c2
+        if radius is None and d0 * d0 + d1 * d1 + d2 * d2 <= r2:
+            was_near += (k,)
 
     # the chart formula moves the slot-positive representative; tracking the
     # northern point at z3 < 0 needs the antipodal sign (-1)^(d+1)
@@ -438,32 +440,28 @@ def integrate_compactified(f: cpt.PolyField3, x0, cfg: IntegratorConfig, *,
                 scale = math.sqrt(w0 * w0 + w1 * w1 + w2 * w2 + z3 * z3)
                 if z3 < 0.0:
                     scale = -scale
-                u = (w0 / scale, w1 / scale, w2 / scale)
+                u = p0, p1, p2 = w0 / scale, w1 / scale, w2 / scale
                 times.append(t1)
                 chart_ids.append(chart)
                 chart_states.append(z1)
                 ball_states.append(u)
-                for center, radius, c0, c1, c2, r2 in stops:
-                    d0, d1, d2 = u[0] - c0, u[1] - c1, u[2] - c2
+                near = ()
+                for k, (c0, c1, c2, r2, radius) in enumerate(stops):
+                    d0, d1, d2 = p0 - c0, p1 - c1, p2 - c2
                     if d0 * d0 + d1 * d1 + d2 * d2 <= r2:
-                        limit = np.array(center, dtype=float)
-                        note = (f"entered the certified attraction set of "
-                                f"({c0:.6f}, {c1:.6f}, {c2:.6f}) at stop radius "
-                                f"{radius:.4g}")
+                        if radius is not None:
+                            limit = np.array((c0, c1, c2))
+                            note = (f"entered the certified attraction set of "
+                                    f"({c0:.6f}, {c1:.6f}, {c2:.6f}) at stop radius "
+                                    f"{radius:.4g}")
+                        elif k not in was_near:
+                            near += (k,)
+                            continue
+                        termination = "converged_to_point"
                         break
-                if limit is not None:
-                    termination = "converged_to_point"
+                if termination == "converged_to_point":
                     break
-                if targets is not None:
-                    is_near = None
-                    norm_u = math.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2])
-                    # the negated test keeps a NaN window on the exact path
-                    if not (norm_u < near_lo or norm_u > near_hi):
-                        is_near = _row_norm(np.array(u) - tgt) <= convergence_radius
-                        if was_near is not None and np.any(was_near & is_near):
-                            termination = "converged_to_point"
-                            break
-                    was_near = is_near
+                was_near = near
                 # u carries the pivot of the chart as its own sphere component
                 if abs(u[chart - 1]) < _SWITCH_THRESHOLD:
                     ysph = cpt.chart_point_to_sphere(chart, z1)

@@ -10,6 +10,8 @@
   fixed affine chart.
 * ``classify_limit``: runs one metric to its limit direction and labels
   the limit (normal Einstein / Einstein / neither).
+* ``run_to_limit``: the run to infinity that the basin, ``classify_limit``
+  and the ball portrait share, with one stop table from the census.
 
 Sampling streams are derived from (seed, line, sample index), so reports
 are independent of execution order and reproducible byte for byte.
@@ -17,6 +19,7 @@ are independent of execution order and reproducible byte for byte.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass, field as dataclass_field
@@ -27,6 +30,7 @@ import numpy as np
 from . import compactify as cpt
 from .dynamics import (
     IntegratorConfig,
+    Trajectory,
     _row_dot,
     _row_norm,
     distance_to_line_ball,
@@ -46,6 +50,7 @@ __all__ = [
     "cylinder_basin",
     "lyapunov_exponent_table",
     "classify_limit",
+    "run_to_limit",
     "BasinReport",
     "BasinSample",
     "LyapunovTable",
@@ -57,11 +62,6 @@ __all__ = [
 # direction when reporting convergence
 CONVERGED_DISTANCE = 1e-3
 
-# runs that settle at a target without an attraction certificate stop deeper
-# inside the convergence funnel, so the terminal direction is accurate enough
-# for Einstein-residual checks
-_STOP_RADIUS = 1e-7
-
 _RUN_CFG = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-11, max_step=0.25, t_end=200.0)
 
 # ambient radius of the Lyapunov base point on each ray
@@ -70,9 +70,9 @@ _BASE_RADIUS = 2.0
 # basin launch heights run from the ball image delta / sqrt(1 + delta^2) of
 # the sphere |x| = delta up to 0.98; from delta 4.925 on that band is empty
 MAX_BASIN_DELTA = 4.9
-# a basin sample takes about 2.5 ms (lines 1-4, seed 7, 200 samples each,
-# 2.2-2.6 ms over three runs on a shared 2-vCPU Xeon), so the cap bounds a
-# line near 25 s
+# a basin sample takes about 2.3 ms and 31 accepted steps (lines 1-4,
+# seed 7, 200 samples each, 2.0-2.7 ms over three runs on a shared 2-vCPU
+# Xeon), so the cap bounds a line near 23 s
 MAX_BASIN_SAMPLES = 10_000
 
 # octant-scan grids hold about resolution^2 / 2 points; a whole verify run
@@ -87,23 +87,13 @@ def _census() -> tuple[cpt.InfinityEquilibrium, ...]:
     return tuple(cpt.find_infinity_equilibria(cpt.model_poly_field()))
 
 
-def _equilibrium_targets() -> tuple[np.ndarray, ...]:
-    """Directions of all equilibria at infinity, as run-termination targets.
-
-    Trajectories that leave a ray's neighbourhood settle at equilibria
-    outside the first octant; terminating there (instead of timing out)
-    keeps the experiments honest about the limit and fast.
-    """
-    return tuple(e.direction for e in _census())
-
-
 @functools.lru_cache(maxsize=1)
-def _basin_stops() -> tuple[tuple[np.ndarray, ...], tuple[tuple[np.ndarray, float], ...]]:
-    """Stop rules of the basin runs: (targets, certified (center, stop radius) pairs).
+def _stops() -> tuple[tuple[np.ndarray, ...], tuple[tuple[np.ndarray, float], ...]]:
+    """Stop table of every run to infinity: (targets, certified (center, stop radius) pairs).
 
     Every attractor at infinity with an attraction certificate stops a run
     on entry to its stop ball; the other equilibria stay targets of the
-    two-point rule.
+    two-point rule, so a run that leaves the first octant ends too.
     """
     field = cpt.model_poly_field()
     targets, certified = [], []
@@ -114,6 +104,23 @@ def _basin_stops() -> tuple[tuple[np.ndarray, ...], tuple[tuple[np.ndarray, floa
         else:
             certified.append((cert.center, cert.stop_radius))
     return tuple(targets), tuple(certified)
+
+
+def run_to_limit(x0, t_end: float = _RUN_CFG.t_end) -> tuple[Trajectory, np.ndarray]:
+    """Run an ambient start of the quadratic field to its limit at infinity.
+
+    The compactified run stops on entry to the certified attraction set of
+    an attractor at infinity, once two consecutive points lie within
+    ``STOP_RADIUS`` of another equilibrium at infinity, or at ``t_end``.
+    Returns the trajectory and its ball states; after a certified stop the
+    states end with the attractor's census direction, ``Trajectory.limit``.
+    """
+    cfg = dataclasses.replace(_RUN_CFG, t_end=t_end)
+    targets, certified = _stops()
+    traj = integrate_compactified(cpt.model_poly_field(), x0, cfg,
+                                  targets=targets, certified=certified)
+    states = traj.states if traj.limit is None else np.vstack([traj.states, traj.limit])
+    return traj, states
 
 
 def _octant_grid(resolution: int) -> np.ndarray:
@@ -240,10 +247,10 @@ def cylinder_basin(line: int, epsilon: float, delta: float, n: int, seed: int) -
     uniform in height along the ray and in angle; heights range from the
     ball image of the ambient sphere |x| = delta, delta in [0.5, 4.9], up
     to ball radius 0.98.
-    Each sample is integrated with the compactified field until it enters
-    the certified attraction set of an attractor at infinity (see
-    :func:`flagflow.compactify.attraction_certificate`), settles at one of
-    the other equilibria at infinity, or times out.  ``end`` is the
+    Each sample runs to its limit with :func:`run_to_limit`: it stops on
+    entry to the certified attraction set of an attractor at infinity (see
+    :func:`flagflow.compactify.attraction_certificate`), once it settles at
+    one of the other equilibria at infinity, or at time 200.  ``end`` is the
     attractor's census direction after a certified stop and the last
     integrated point otherwise; a sample counts as converged when it
     terminates with ``end`` within 1e-3 of the ray's own direction.
@@ -256,9 +263,7 @@ def cylinder_basin(line: int, epsilon: float, delta: float, n: int, seed: int) -
         raise ValueError(f"delta must lie in [0.5, {MAX_BASIN_DELTA}]")
     if not 1 <= n <= MAX_BASIN_SAMPLES:
         raise ValueError(f"sample count must lie in [1, {MAX_BASIN_SAMPLES}]")
-    field = cpt.model_poly_field()
     d, e1, e2 = _tube_frame(line)
-    targets, certified = _basin_stops()
     target = line_direction(line)
     r_lo = delta / math.sqrt(1.0 + delta * delta)
     r_hi = 0.98
@@ -272,17 +277,11 @@ def cylinder_basin(line: int, epsilon: float, delta: float, n: int, seed: int) -
         angle = rng.uniform(0.0, 2.0 * math.pi)
         u0 = height * d + epsilon * (math.cos(angle) * e1 + math.sin(angle) * e2)
         x0 = cpt.ball_unprojection(u0)
-        traj = integrate_compactified(field, x0, _RUN_CFG, targets=targets,
-                                      convergence_radius=_STOP_RADIUS, certified=certified)
-        states = traj.states[1:]
-        if traj.limit is None:
-            end = traj.final_state
-        else:
-            end = traj.limit
-            states = np.vstack([states, end])
+        traj, states = run_to_limit(x0)
+        end = states[-1]
         converged = (traj.termination == "converged_to_point"
                      and float(np.linalg.norm(end - target)) <= CONVERGED_DISTANCE)
-        devs = distance_to_line_ball(states, line)
+        devs = distance_to_line_ball(states[1:], line)
         dev = float(devs.max()) if devs.size else 0.0
         n_conv += converged
         overall_dev = max(overall_dev, dev)
@@ -386,19 +385,19 @@ class LimitClassification:
 def classify_limit(x0) -> LimitClassification:
     """Run a metric to its limit direction and label the limit metric.
 
-    ``normal_einstein`` when the limit direction is the diagonal (within
-    1e-6), ``einstein`` when the Einstein residual of the limit direction
-    is below 1e-8, otherwise ``non_einstein``.  A run that does not settle
+    The run is that of :func:`run_to_limit`.  The limit direction is the
+    attractor's census direction after a certified stop, and the last ball
+    point, normalised, otherwise.  ``normal_einstein`` when the limit
+    direction is the diagonal (within 1e-6), ``einstein`` when the
+    Einstein residual of the limit direction is below 1e-8, otherwise
+    ``non_einstein``.  A run that does not settle
     at an equilibrium direction is labelled ``non_einstein`` and carries
     its termination reason as the diagnostic.
     """
     m = MetricParams.of(np.asarray(x0, dtype=float))
-    field = cpt.model_poly_field()
-    traj = integrate_compactified(field, m.as_array(), _RUN_CFG,
-                                  targets=_equilibrium_targets(),
-                                  convergence_radius=_STOP_RADIUS)
-    u = traj.final_state
-    direction = u / float(np.linalg.norm(u))
+    traj, states = run_to_limit(m.as_array())
+    u = states[-1]
+    direction = u if traj.limit is not None else u / float(np.linalg.norm(u))
     if np.all(direction > 0.0):
         _, residual = einstein_residual(direction)
     else:

@@ -82,7 +82,8 @@ KERNEL_SPANS = ("compactify.field", "compactify.jacobian", "model.poly_rhs",
 @pytest.mark.parametrize("argv", [
     ["basin", "--line", "2", "--samples", "2"],
     ["lyapunov", "--lines", "2", "--t-max", "1"],
-], ids=["basin", "lyapunov"])
+    ["plot", "--t-end", "5"],
+], ids=["basin", "lyapunov", "plot"])
 def test_traced_command_reaches_every_kernel_span(tmp_path, argv):
     proc = subprocess.run(
         [sys.executable, "-c", TRACED_RUN, str(SRC), str(BENCH), *argv,
@@ -94,3 +95,17 @@ def test_traced_command_reaches_every_kernel_span(tmp_path, argv):
     assert record["unwrapped"] == []
     calls = {span: record["layers"][f"{span}.calls"] for span in KERNEL_SPANS}
     assert all(calls.values()), calls
+
+
+@pytest.mark.parametrize("workload", ["census_verify", "basin_tubes"])
+def test_workload_outputs_pass_the_benchmark_checks(monkeypatch, tmp_path, workload):
+    # the outputs of seed 0, written in process, pass the checks the
+    # benchmark applies to every repetition
+    monkeypatch.delenv("FLAGFLOW_SEED", raising=False)
+    monkeypatch.chdir(tmp_path)
+    workloads = load("workloads")
+    for command in workloads.commands(workload, 0):
+        code = cli.run(command.argv)
+        out = tmp_path / command.out
+        data = out.read_bytes() if out.exists() else None
+        assert workloads.check(command, code, data) == [], command.argv

@@ -14,8 +14,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from flagflow import cli
+from flagflow import cli, experiments
 from flagflow.cli import run
+from flagflow.model import invariant_directions
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -348,6 +349,7 @@ class TestPlotCommand:
                     "--t-end", "10", "--out", str(out)]) == 0
         doc = xml.dom.minidom.parse(str(out))
         assert doc.documentElement.tagName == "svg"
+        assert len(doc.getElementsByTagName("polyline")) == 2  # one per start
         text = out.read_text()
         assert "polyline" in text and "circle" in text
 
@@ -356,6 +358,33 @@ class TestPlotCommand:
         for path in (a, b):
             run(["plot", "--x0", "1.2,1.2,1.2", "--t-end", "5", "--out", str(path)])
         assert read(a) == read(b)
+
+    def test_certified_runs_end_at_the_census_direction(self, monkeypatch, tmp_path):
+        drawn = []
+
+        def capture(equilibria, trajectories):
+            drawn.extend(trajectories)
+            return ""
+
+        monkeypatch.setattr(cli, "ball_portrait_svg", capture)
+        ray_1 = ",".join(repr(float(2.0 * v)) for v in invariant_directions()[0])
+        starts = ["1.2,1.25,1.2", "0.5,3,1", "2,-1,-1", "1,2,3", ray_1]
+        argv = ["plot", "--out", str(tmp_path / "p.svg")]
+        for x0 in starts:
+            argv += ["--x0", x0]
+        assert run(argv) == 0
+        assert len(drawn) == len(starts)
+        certified = experiments._stops()[1]
+        for states in drawn[:4]:
+            # the last integrated point is the first in a stop ball; the
+            # attractor's census direction follows it
+            entered = [c for c, r in certified if np.linalg.norm(states[-2] - c) <= r]
+            assert len(entered) == 1
+            assert states[-1].tobytes() == entered[0].tobytes()
+        # the saddle ray's run ends at its last integrated point, 1e-7 from the ray
+        end = drawn[4][-1]
+        assert all(np.linalg.norm(end - c) > r for c, r in certified)
+        assert np.linalg.norm(end - invariant_directions()[0]) <= 1e-7
 
 
 class TestInputBoundary:
@@ -400,6 +429,8 @@ class TestInputBoundary:
         (["lyapunov", "--lines", "2", "--renorm-dt", "1000", "--t-max", "1"], 1),
         (["lyapunov", "--lines", "2", "--renorm-dt", "7", "--t-max", "12"], 1),
         (["lyapunov", "--lines", "2", "--renorm-dt", "0.6", "--t-max", "1"], 1),
+        (["integrate", "--compactified", "--x0", "1e-12,1e-12,1e-12"], 1),
+        (["plot", "--x0", "1e-13,1e-13,1e-13"], 1),
     ])
     def test_rejected_input_gives_one_line(self, argv, code):
         proc = run_cli(argv)

@@ -149,7 +149,7 @@ class TestCompactifiedIntegration:
         field = model_poly_field()
         target = invariant_directions()[1]
         tr = integrate_compactified(field, (1.2, 1.2, 1.2), IntegratorConfig(t_end=50.0),
-                                    targets=[target], convergence_radius=1e-5)
+                                    targets=[target])
         assert tr.termination == "converged_to_point"
         assert np.linalg.norm(tr.final_state - target) <= 1e-4
 
@@ -157,7 +157,7 @@ class TestCompactifiedIntegration:
         field = model_poly_field()
         d1 = invariant_directions()[0]
         tr = integrate_compactified(field, 2.0 * d1, IntegratorConfig(t_end=50.0),
-                                    targets=[d1], convergence_radius=1e-5)
+                                    targets=[d1])
         assert tr.termination == "converged_to_point"
         assert np.linalg.norm(tr.final_state - d1) <= 1e-4
 
@@ -186,7 +186,7 @@ class TestCompactifiedIntegration:
         assert amb.termination == "blow_up_event"
         target = invariant_directions()[1]
         cmp_ = integrate_compactified(model_poly_field(), x0, IntegratorConfig(t_end=60.0),
-                                      targets=[target], convergence_radius=1e-5)
+                                      targets=[target])
         assert cmp_.termination == "converged_to_point"
         assert np.linalg.norm(ball_projection(amb.final_state) - cmp_.final_state) <= 1e-4
 
@@ -205,8 +205,7 @@ class TestCompactifiedIntegration:
         field = model_poly_field()
         center = invariant_directions()[1]
         cfg = IntegratorConfig(t_end=50.0)
-        free = integrate_compactified(field, (1.2, 1.3, 1.1), cfg, targets=[center],
-                                      convergence_radius=1e-7)
+        free = integrate_compactified(field, (1.2, 1.3, 1.1), cfg, targets=[center])
         tr = integrate_compactified(field, (1.2, 1.3, 1.1), cfg, certified=[(center, 0.05)])
         n = len(tr.times)
         # the same steps as the free run, up to its first point in the stop ball
@@ -231,9 +230,19 @@ class TestCompactifiedIntegration:
     def test_without_certified_sets_there_is_no_limit(self):
         tr = integrate_compactified(model_poly_field(), (1.2, 1.3, 1.1),
                                     IntegratorConfig(t_end=50.0),
-                                    targets=[invariant_directions()[1]], convergence_radius=1e-5)
+                                    targets=[invariant_directions()[1]])
         assert tr.termination == "converged_to_point"
         assert tr.limit is None and tr.note == ""
+
+    def test_start_in_no_chart_is_rejected(self):
+        # the best chart's pivot is the largest coordinate, here 1e-12 or 2e-12
+        with pytest.raises(ValueError, match="within about 1e-12 of zero"):
+            integrate_compactified(model_poly_field(), (1e-12, -1e-12, 1e-12),
+                                   IntegratorConfig(t_end=1.0))
+        tr = integrate_compactified(model_poly_field(), (2e-12, 2e-12, 2e-12),
+                                    IntegratorConfig(t_end=50.0),
+                                    targets=[invariant_directions()[1]])
+        assert tr.termination == "converged_to_point"
 
     def test_csv_bookkeeping_fields(self):
         field = model_poly_field()
@@ -713,7 +722,7 @@ class TestStepperMatchesReference:
         targets = [e.direction for e in find_infinity_equilibria(model_poly_field())]
         x0 = 0.6 * invariant_directions()[0] + np.array([0.02, -0.01, 0.015])
         cur, ref = _with_reference(monkeypatch, lambda: integrate_compactified(
-            model_poly_field(), x0, cfg, targets=targets, convergence_radius=1e-5))
+            model_poly_field(), x0, cfg, targets=targets))
         assert ref.termination == "converged_to_point"
         _assert_same_trajectory(cur, ref)
 
@@ -881,8 +890,8 @@ class TestStepperCopyContract:
 
 
 class TestCompactifiedLoopMatchesParent:
-    # the loop computes ball points in Python floats and skips the target
-    # test outside a norm window; the parent copy does neither
+    # the loop computes ball points and tests every stop in Python floats;
+    # the parent copy builds numpy ball points and tests targets by _row_norm
 
     @staticmethod
     def _tube_start(line, idx):
@@ -897,58 +906,24 @@ class TestCompactifiedLoopMatchesParent:
     @staticmethod
     def _both(*args, **kwargs):
         cur = integrate_compactified(*args, **kwargs)
-        ref = _parent_integrate_compactified(*args, **kwargs)
+        ref = _parent_integrate_compactified(*args, **kwargs,
+                                             convergence_radius=dynamics.STOP_RADIUS)
         _assert_same_trajectory(cur, ref)
         return cur
 
     @pytest.mark.parametrize("line", [1, 2, 3, 4])
     def test_tube_samples_bitwise(self, line):
-        targets = experiments._equilibrium_targets()
+        targets = [e.direction for e in experiments._census()]
         for idx in range(3):
             tr = self._both(model_poly_field(), self._tube_start(line, idx), experiments._RUN_CFG,
-                            targets=targets, convergence_radius=experiments._STOP_RADIUS)
+                            targets=targets)
             assert tr.termination == "converged_to_point"
-
-    def test_interior_targets_of_mixed_norms_bitwise(self):
-        # the run leaves |u| = 0.45 along the diagonal and settles into the
-        # target at |t| = 0.9 on it; steps below the norm window skip the test
-        d1, d2 = invariant_directions()[:2]
-        targets = [0.5 * d1, 0.9 * d2, -d1]
-        radius = 0.02
-        tr = self._both(model_poly_field(), 0.5 * d2, IntegratorConfig(t_end=50.0),
-                        targets=targets, convergence_radius=radius)
-        assert tr.termination == "converged_to_point"
-        assert np.linalg.norm(tr.final_state - 0.9 * d2) <= radius
-        lo, _ = dynamics._near_window(np.array(targets), radius)
-        assert np.sum(np.linalg.norm(tr.states, axis=1) < lo) >= 2
 
     @pytest.mark.parametrize("threshold", [0.3, 0.5])
     def test_chart_switching_bitwise(self, monkeypatch, threshold):
         monkeypatch.setattr(dynamics, "_SWITCH_THRESHOLD", threshold)
         tr = self._both(linear_diag_field(), (5.0, 0.5, 0.5), IntegratorConfig(t_end=3.0))
         assert tr.chart_log
-
-    def test_near_window_never_excludes_a_hit(self):
-        # points on the window's edge, along a target's own direction, are
-        # as close to it as the window allows; the exact test must miss them
-        rng = np.random.default_rng(21)
-        for _ in range(2000):
-            tgt = rng.standard_normal((3, 3))
-            tgt *= rng.uniform(0.3, 1.0, size=(3, 1)) / np.linalg.norm(tgt, axis=1, keepdims=True)
-            radius = 10.0 ** rng.uniform(-9, -1)
-            lo, hi = dynamics._near_window(tgt, radius)
-            norms = dynamics._row_norm(tgt)
-            for edge, t in ((lo, tgt[np.argmin(norms)]), (hi, tgt[np.argmax(norms)])):
-                u = t / np.linalg.norm(t) * edge
-                u_norm = math.sqrt(float(u.dot(u)))
-                if u_norm < lo or u_norm > hi:
-                    assert not np.any(dynamics._row_norm(u - tgt) <= radius)
-
-    def test_empty_and_nan_targets(self):
-        lo, hi = dynamics._near_window(np.empty((0, 3)), 1e-3)
-        assert lo > hi  # every point lies outside
-        lo, hi = dynamics._near_window(np.array([[np.nan, 0.0, 0.0], [0.5, 0.0, 0.0]]), 1e-3)
-        assert math.isnan(lo) and math.isnan(hi)  # every point lies inside
 
 
 class TestDotForms:

@@ -10,6 +10,7 @@ from flagflow.experiments import (
     cylinder_basin,
     lyapunov_exponent_table,
     no_interior_equilibria_scan,
+    run_to_limit,
 )
 from flagflow.model import (
     einstein_residual,
@@ -174,14 +175,17 @@ def certified_and_plain():
     args = (0.05, 0.6, 25, 7)
     certified = {j: cylinder_basin(j, *args) for j in (1, 2, 3, 4)}
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(experiments, "_basin_stops",
-                   lambda: (experiments._equilibrium_targets(), ()))
+        mp.setattr(experiments, "_stops", lambda: (_census_directions(), ()))
         plain = {j: cylinder_basin(j, *args) for j in (1, 2, 3, 4)}
     return certified, plain
 
 
+def _census_directions():
+    return tuple(e.direction for e in experiments._census())
+
+
 def _census_index(point):
-    dists = [np.linalg.norm(np.array(point) - d) for d in experiments._equilibrium_targets()]
+    dists = [np.linalg.norm(np.array(point) - d) for d in _census_directions()]
     k = int(np.argmin(dists))
     return k, dists[k]
 
@@ -189,7 +193,7 @@ def _census_index(point):
 class TestCertifiedStops:
     def test_samples_land_where_the_plain_runs_land(self, certified_and_plain):
         certified, plain = certified_and_plain
-        centers = [tuple(c.tolist()) for c, _ in experiments._basin_stops()[1]]
+        centers = [tuple(c.tolist()) for c, _ in experiments._stops()[1]]
         for j in (1, 2, 3, 4):
             for a, b in zip(certified[j].records, plain[j].records):
                 assert a.start == b.start
@@ -277,6 +281,17 @@ class TestClassifyLimit:
         res = classify_limit((1.2, 1.25, 1.2))
         assert res.kind == "normal_einstein"
         assert res.termination == "converged_to_point"
+
+    def test_certified_stop_reports_the_census_direction(self):
+        traj, states = run_to_limit((1.2, 1.25, 1.2))
+        assert traj.note.startswith("entered the certified attraction set of (0.577350, ")
+        diagonal = [e.direction for e in experiments._census()
+                    if np.linalg.norm(e.direction - line_direction(2)) < 1e-12]
+        assert len(diagonal) == 1
+        assert traj.limit.tobytes() == states[-1].tobytes() == diagonal[0].tobytes()
+        res = classify_limit((1.2, 1.25, 1.2))
+        assert res.limit_direction.tobytes() == diagonal[0].tobytes()
+        assert res.einstein_residual_at_limit < 1e-14
 
     def test_on_ray_start_with_radial_perturbation(self):
         d1 = invariant_directions()[0]
