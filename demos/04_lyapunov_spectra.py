@@ -6,9 +6,9 @@
 # re-orthonormalizing it on a fixed cadence (the Benettin procedure)
 # estimates the Lyapunov exponents of that trajectory.
 #
-# Takes about 11 seconds (10.7-11.4 s over four runs on a shared 2-vCPU
-# Xeon): the running averages settle at the 1e-3 level only after a few
-# hundred time units.
+# Takes about 8 seconds (8.1-8.8 s over two runs on an otherwise idle
+# shared 2-vCPU Xeon, 11-14 s while other jobs ran): the running averages
+# settle at the 1e-3 level only after a few hundred time units.
 
 from flagflow import lyapunov_exponent_table
 

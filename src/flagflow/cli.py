@@ -2,9 +2,10 @@
 
 Subcommands: ricci, integrate, infinity, lyapunov, verify, basin, plot.
 Global flags (--out, --format, --seed, --config) may come before or after
-the subcommand; a value given after it wins.  Flags are spelled in full,
-exactly like their config keys.  Values resolve as: explicit
-flags, then config-file entries, then built-in defaults; the seed
+the subcommand; a value given after it wins; a --format the command
+cannot write is an error.  Flags are spelled in full, exactly like their
+config keys.  Values resolve as: explicit flags, then config-file
+entries, then built-in defaults; the seed
 additionally falls back to the FLAGFLOW_SEED environment variable.  Config
 files are plain ``key = value`` lines with ``#`` comments; unknown keys are
 errors.
@@ -143,8 +144,8 @@ def _opt(cast=str, default=None, help=None, **kwargs) -> tuple:
 
 _GLOBALS = {
     "out": _opt(help="write output to this path instead of stdout"),
-    "format": _opt(str, "csv", "output format where a command supports both",
-                   choices=("csv", "json")),
+    "format": _opt(str, "csv", "output format of ricci and verify; a command that "
+                   "writes one format rejects any other", choices=("csv", "json")),
     "seed": _opt(_seed, 0, "seed for randomized commands"),
 }
 
@@ -157,7 +158,8 @@ def _options(args) -> dict:
     seed falls back to FLAGFLOW_SEED, and an option no source gives takes
     its table default.
     """
-    table = {**_GLOBALS, **_COMMANDS[args.command].options}
+    command = _COMMANDS[args.command]
+    table = {**_GLOBALS, **command.options}
     given = []  # (key, where the value came from, raw value)
     path = getattr(args, "config", None)
     if path:
@@ -182,8 +184,9 @@ def _options(args) -> dict:
     if "FLAGFLOW_SEED" in os.environ and all(key != "seed" for key, _, _ in given):
         given.append(("seed", "FLAGFLOW_SEED", os.environ["FLAGFLOW_SEED"]))
 
-    opts = {}
+    opts, sources = {}, {}
     for key, where, raw in given:
+        sources[key] = where
         cast, _, kwargs = table[key]
         try:
             opts[key] = cast(raw)
@@ -192,6 +195,9 @@ def _options(args) -> dict:
                 raise ValueError(f"must be one of {', '.join(choices)}")
         except ValueError as exc:
             raise ValueError(f"{where}: bad value {raw!r} ({exc})") from None
+    if "format" in sources and opts["format"] not in command.formats:
+        raise ValueError(f"{sources['format']}: {args.command} writes "
+                         f"{' or '.join(command.formats)} only, not {opts['format']}")
     for key, (_, default, _) in table.items():
         if key not in opts:
             if default is _REQUIRED:
@@ -350,6 +356,7 @@ def _cmd_plot(opts) -> tuple[str, int]:
 
 class _Command(NamedTuple):
     handler: Callable[[dict], tuple[str, int]]  # resolved options -> output, exit code
+    formats: tuple  # output formats it writes; --format must name one of them
     help: str
     description: str
     options: dict  # option table: key -> _opt(...) row
@@ -357,12 +364,12 @@ class _Command(NamedTuple):
 
 _COMMANDS = {
     "ricci": _Command(
-        _cmd_ricci, "Ricci tensor components of an invariant metric",
+        _cmd_ricci, ("csv", "json"), "Ricci tensor components of an invariant metric",
         "Evaluate the three Ricci components of the metric "
         "(l12, l13, l23) on the flag manifold SU(3)/T.",
         {"metric": _opt(_triple, _REQUIRED, "metric triple a,b,c (all positive)")}),
     "integrate": _Command(
-        _cmd_integrate,
+        _cmd_integrate, ("csv",),
         "integrate the metric flow or its quadratic form, "
         "ambient or compactified",
         "Integrate the Ricci flow system (system 'ricci'), its "
@@ -379,13 +386,13 @@ _COMMANDS = {
          "min_step": _opt(float, 1e-12),
          "blow_up_radius": _opt(float)}),
     "infinity": _Command(
-        _cmd_infinity, "equilibria at infinity of the compactified field",
+        _cmd_infinity, ("json",), "equilibria at infinity of the compactified field",
         "Locate the singularities at infinity of the quadratic "
         "system on the Poincare sphere's equator, classify "
         "their stability, and report them as JSON.",
         {"grid": _opt(int, 48, "Newton seed grid resolution per chart")}),
     "lyapunov": _Command(
-        _cmd_lyapunov, "Lyapunov exponents along the four invariant rays",
+        _cmd_lyapunov, ("csv",), "Lyapunov exponents along the four invariant rays",
         "Benettin Lyapunov spectra of the compactified flow "
         "along the invariant rays, per affine chart; CSV "
         "columns line,chart,lambda1,lambda2,lambda3,"
@@ -395,7 +402,7 @@ _COMMANDS = {
          "renorm_dt": _opt(_positive, 0.1),
          "t_max": _opt(_positive, 500.0)}),
     "verify": _Command(
-        _cmd_verify,
+        _cmd_verify, ("csv", "json"),
         "algebraic verifications: invariant rays, Einstein "
         "residuals, rescaling identity, octant scan",
         "Check that the four rays are invariant lines of the "
@@ -407,7 +414,7 @@ _COMMANDS = {
         {"checks": _opt(_checks, (), "comma-separated subset of "
                                      "lines,einstein,reparam,no-equilibria")}),
     "basin": _Command(
-        _cmd_basin, "cylinder-of-initial-conditions experiment around a ray",
+        _cmd_basin, ("json",), "cylinder-of-initial-conditions experiment around a ray",
         "Sample a tube of initial metrics around one invariant "
         "ray and report which fraction of compactified "
         "trajectories terminates at the ray's equilibrium at "
@@ -417,7 +424,7 @@ _COMMANDS = {
          "delta": _opt(float, 0.6),
          "samples": _opt(int, 200)}),
     "plot": _Command(
-        _cmd_plot, "static SVG portrait of the Poincare ball",
+        _cmd_plot, ("svg",), "static SVG portrait of the Poincare ball",
         "Render the unit-ball picture: equilibria at infinity "
         "as stability-coded markers plus selected compactified "
         "trajectories.",

@@ -531,12 +531,13 @@ def lyapunov_spectrum(field, x0, cfg: IntegratorConfig, renorm_dt: float, *,
     Both ``field`` and ``jacobian`` must return inf/nan, not raise, at
     non-finite input (see :func:`integrate_with_events`).  Convergence is
     declared once, after t = 10, the running averages move less than 1e-3
-    componentwise between 0.75*t and t.  The ceil(t_end / renorm_dt)
-    segments, each of at least one step and of steps no longer than
-    ``cfg.max_step``, may plan at most ``MAX_PLANNED_STEPS`` steps.
-    One stepper runs them all, restarting at each renormalised state.
-    The state needs at least three components, one per frame vector, and
-    ``renorm_dt`` must not exceed ``cfg.t_end``.
+    componentwise between 0.75*t and t.  ``cfg.t_end`` must be a whole
+    number of ``renorm_dt`` segments (within a relative 1e-9); segment k
+    ends at t = (k + 1) * renorm_dt, the time ``history`` (averages in
+    frame order) and ``t_used`` report.  The segments, each of at least one
+    step and of steps no longer than ``cfg.max_step``, may plan at most
+    ``MAX_PLANNED_STEPS`` steps.  One stepper runs them all, restarting at
+    each renormalised state.  The state needs at least three components.
 
     If the base trajectory diverges (leaves the sup-norm ball of radius
     1e3, or collapses the step size) before convergence, the partial
@@ -544,14 +545,14 @@ def lyapunov_spectrum(field, x0, cfg: IntegratorConfig, renorm_dt: float, *,
     """
     if not (math.isfinite(renorm_dt) and renorm_dt > 0):
         raise ValueError("renorm_dt must be positive and finite")
-    segments = cfg.t_end / renorm_dt
-    # the first test keeps ceil() away from an infinite ratio
-    _check_planned_steps(segments, "t_end / renorm_dt")
-    _check_planned_steps(math.ceil(segments) * max(1.0, renorm_dt / cfg.max_step),
+    ratio = cfg.t_end / renorm_dt
+    # checked first, which keeps round() away from an infinite ratio
+    _check_planned_steps(ratio * max(1.0, renorm_dt / cfg.max_step),
                          "segments times renorm_dt / max_step")
-    # a segment longer than the run would integrate far past t_end
-    if renorm_dt > cfg.t_end:
-        raise ValueError(f"renorm_dt must not exceed t_end, got {renorm_dt:g} > {cfg.t_end:g}")
+    segments = round(ratio)
+    if segments < 1 or abs(ratio - segments) > 1e-9 * ratio:
+        raise ValueError(f"the run length must be a whole number of renorm_dt segments, "
+                         f"got {cfg.t_end:g} / {renorm_dt:g} = {ratio:.6g}")
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
     if n < 3:
@@ -572,9 +573,8 @@ def lyapunov_spectrum(field, x0, cfg: IntegratorConfig, renorm_dt: float, *,
     frame = np.eye(3, n)
     state = np.concatenate([x0, frame.ravel()])
     sums = np.zeros(3)
-    t_acc = 0.0
+    t = 0.0
     history: list[tuple[float, np.ndarray]] = []
-    n_past = 0
     max_defect = 0.0
     converged = False
     note = ""
@@ -583,7 +583,7 @@ def lyapunov_spectrum(field, x0, cfg: IntegratorConfig, renorm_dt: float, *,
     with np.errstate(all="ignore"):
         try:
             stepper = _Stepper(ext_rhs, 0.0, state, cfg, work)
-            for k in range(math.ceil(segments)):
+            for k in range(segments):
                 if k:
                     stepper.restart(0.0, state)
                 while stepper.t < renorm_dt:
@@ -607,25 +607,20 @@ def lyapunov_spectrum(field, x0, cfg: IntegratorConfig, renorm_dt: float, *,
                     sums[i] += math.log(r)
                     row /= r
                 max_defect = max(max_defect, float(abs(frame @ frame.T - _EYE3).max()))
-                t_acc += renorm_dt
-                running = np.sort(sums / t_acc)[::-1]
-                history.append((t_acc, running))
-                if t_acc >= _LYAPUNOV_MIN_TIME:
-                    # history times increase, so the entries at or before the
-                    # cutoff form a prefix whose end only moves forward
-                    cutoff = 0.75 * t_acc
-                    while n_past < len(history) and history[n_past][0] <= cutoff:
-                        n_past += 1
-                    if n_past:
-                        drift = float(abs(history[n_past - 1][1] - running).max())
-                        if drift < _LYAPUNOV_TOL:
-                            converged = True
-                            break
+                t = (k + 1) * renorm_dt
+                running = sums / t
+                history.append((t, running))
+                # the first 3(k+1)//4 entries end at or before 0.75*t; test the last
+                past = 3 * (k + 1) // 4
+                if t >= _LYAPUNOV_MIN_TIME and past:
+                    if float(abs(history[past - 1][1] - running).max()) < _LYAPUNOV_TOL:
+                        converged = True
+                        break
         except _StepCollapse as exc:
             note = f"base trajectory diverged: {exc}"
 
-    exponents = np.sort(sums / t_acc)[::-1] if t_acc > 0 else np.full(3, np.nan)
-    return LyapunovSpectrum(exponents=exponents, t_used=t_acc, converged=converged,
+    exponents = np.sort(sums / t)[::-1] if t > 0 else np.full(3, np.nan)
+    return LyapunovSpectrum(exponents=exponents, t_used=t, converged=converged,
                             history=history, max_gram_defect=max_defect, note=note, work=work)
 
 

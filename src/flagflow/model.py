@@ -4,13 +4,16 @@ An invariant metric on SU(3)/T is an ordered triple of positive scales
 (l12, l13, l23), one per irreducible isotropy summand.  This module
 evaluates, in closed form:
 
-* the three Ricci components of such a metric,
-* the Ricci flow velocity  l' = -2 r  on the metric cone,
+* the three Ricci components r_k of such a metric, Ric|m_k = r_k*g|m_k,
+* the Ricci flow velocity  l' = -2 r  on the metric cone (the standard
+  g' = -2 Ric would read l_k' = -2 l_k r_k),
 * the quadratic polynomial system obtained by rescaling time with the
   positive factor 12*l12*l13*l23 (which also reverses the time arrow),
 * the analytic Jacobian of the quadratic system,
 * algebraic verifiers: the rescaling identity, tangency of rays to the
-  quadratic field, and the Einstein residual  max |r - c*l|.
+  quadratic field, and the Einstein residual  max |r - c*l|.  Einstein
+  means r proportional to l here; the test r1 = r2 = r3 would instead
+  call (1, 2, 1) Einstein, since r(1, 2, 1) = (1/3, 1/3, 1/3).
 
 Everything here is an exact formula in 64-bit floats; no iteration, no
 state.  The three components are always coded in the same cyclic pattern

@@ -97,7 +97,7 @@ def test_traced_command_reaches_every_kernel_span(tmp_path, argv):
     assert all(calls.values()), calls
 
 
-@pytest.mark.parametrize("workload", ["census_verify", "basin_tubes"])
+@pytest.mark.parametrize("workload", ["census_verify", "basin_tubes", "lyapunov_rays"])
 def test_workload_outputs_pass_the_benchmark_checks(monkeypatch, tmp_path, workload):
     # the outputs of seed 0, written in process, pass the checks the
     # benchmark applies to every repetition

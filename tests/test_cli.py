@@ -324,6 +324,23 @@ class TestConfigFile:
         assert captured.out == ""
         assert "bad value" in captured.err
 
+    def test_format_the_command_cannot_write_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "flagflow.cfg"
+        cfg.write_text("format = csv\n")
+        assert run(["infinity", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"flagflow: error: {cfg}:1: format: infinity writes json only, " \
+                               "not csv\n"
+
+    def test_format_flag_overrides_config(self, tmp_path, capsys):
+        # the flag names a format lyapunov writes, so the config's json is not checked
+        cfg = tmp_path / "flagflow.cfg"
+        cfg.write_text("format = json\n")
+        assert run(["lyapunov", "--lines", "2", "--t-max", "1", "--config", str(cfg),
+                    "--format", "csv"]) == 2
+        assert capsys.readouterr().out.startswith("line,chart,")
+
     def test_verify_flags_are_config_keys(self, tmp_path, capsys):
         cfg = tmp_path / "flagflow.cfg"
         cfg.write_text("checks = einstein\n")
@@ -431,6 +448,11 @@ class TestInputBoundary:
         (["lyapunov", "--lines", "2", "--renorm-dt", "0.6", "--t-max", "1"], 1),
         (["integrate", "--compactified", "--x0", "1e-12,1e-12,1e-12"], 1),
         (["plot", "--x0", "1e-13,1e-13,1e-13"], 1),
+        (["lyapunov", "--lines", "2", "--t-max", "1", "--format", "json"], 1),
+        (["integrate", "--x0", "1,1,1", "--format", "json"], 1),
+        (["infinity", "--format", "csv"], 1),
+        (["--format", "csv", "basin", "--line", "2"], 1),
+        (["plot", "--format", "csv"], 1),
     ])
     def test_rejected_input_gives_one_line(self, argv, code):
         proc = run_cli(argv)
@@ -520,7 +542,7 @@ COSTLY_DEFAULT = {"t_end", "t_max", "samples"}
 FUZZED_GLOBALS = {k: v for k, v in cli._GLOBALS.items() if k != "out"}
 
 
-def _fuzz_args(draw, table):
+def _fuzz_args(draw, table, cheap):
     argv = []
     segment = 0.1  # the default renorm_dt, unless a valid one is drawn
     for key, (_, _, kwargs) in table.items():
@@ -534,9 +556,9 @@ def _fuzz_args(draw, table):
         if pick == 8:
             values = [draw(HOSTILE)]
         elif kwargs.get("action") == "append":
-            values = draw(st.lists(CHEAP[key], min_size=1, max_size=2))
+            values = draw(st.lists(cheap[key], min_size=1, max_size=2))
         else:
-            values = [draw(CHEAP[key])]
+            values = [draw(cheap[key])]
             if key == "renorm_dt":
                 segment = float(values[0])
             elif key == "t_max":
@@ -556,8 +578,12 @@ class TestFuzzedBoundary:
     @given(st.data())
     def test_fuzzed_options_end_in_a_documented_exit(self, data):
         name = data.draw(st.sampled_from(sorted(cli._COMMANDS)))
-        globals_ = _fuzz_args(data.draw, FUZZED_GLOBALS)
-        options = _fuzz_args(data.draw, cli._COMMANDS[name].options)
+        # a valid --format is one the command writes; plot takes none at all
+        writable = [f for f in cli._COMMANDS[name].formats if f in ("csv", "json")]
+        table = {k: v for k, v in FUZZED_GLOBALS.items() if k != "format" or writable}
+        cheap = {**CHEAP, "format": st.sampled_from(writable or ["csv"])}
+        globals_ = _fuzz_args(data.draw, table, cheap)
+        options = _fuzz_args(data.draw, cli._COMMANDS[name].options, cheap)
         argv = (globals_ + [name] if data.draw(st.booleans()) else [name] + globals_) + options
         out, err = io.StringIO(), io.StringIO()
         # a numpy warning would print lines of its own next to the exit line

@@ -479,6 +479,79 @@ class TestEquatorCensus:
             ["attractor"] * 3 + ["repeller"] * 3)
 
 
+# The census in closed form: the seven eigenpoints of the chart-1 resultant
+# lie in Q(sqrt 2), and so do the real parts of the chart spectra.
+_S2 = math.sqrt(2.0)
+_AP, _AM = (-1.0 + _S2) / 2.0, (-1.0 - _S2) / 2.0
+_DIAG = (-5.0, -7.0, -7.0)
+_RAY = (16.0 + 4.0 * _S2, -4.0 * _S2, -(8.0 + 16.0 * _S2))  # rays 1 and 3 in chart 1
+_RAY4 = (6.0 * _S2 - 4.0, -(4.0 - 2.0 * _S2), -(12.0 - 4.0 * _S2))  # line 4 in chart 1
+_MIXED = (-(4.0 + 2.0 * _S2), -(4.0 + 6.0 * _S2), -(12.0 + 4.0 * _S2))
+_REPEL = (16.0 * _S2 - 8.0, 16.0 - 4.0 * _S2, 4.0 * _S2)
+# (sign, eigenpoint, spectrum) of each census direction; the mixed-sign
+# attractors are the antipodes of the repellers
+_EXACT_CENSUS = [
+    (1, (1.0, 1.0, 1.0), _DIAG),
+    (1, (1.0, 1.0, 2.0 + 2.0 * _S2), _RAY),
+    (1, (1.0, 2.0 + 2.0 * _S2, 1.0), _RAY),
+    (1, (1.0, _AP, _AP), _RAY4),
+    (1, (1.0, _AM, _AM), _MIXED),
+    (-1, (1.0, 1.0, 2.0 - 2.0 * _S2), _MIXED),
+    (-1, (1.0, 2.0 - 2.0 * _S2, 1.0), _MIXED),
+    (1, (1.0, 1.0, 2.0 - 2.0 * _S2), _REPEL),
+    (1, (1.0, 2.0 - 2.0 * _S2, 1.0), _REPEL),
+    (-1, (1.0, _AM, _AM), _REPEL),
+]
+
+
+class TestExactCensus:
+    @staticmethod
+    def _match(census):
+        """(census entry, exact direction, exact spectrum) pairs, nearest first."""
+        exact = [(sign * np.array(w) / np.linalg.norm(w), spectrum)
+                 for sign, w, spectrum in _EXACT_CENSUS]
+        pairs = []
+        for e in census:
+            d, spectrum = min(exact, key=lambda x: np.abs(x[0] - e.direction).max())
+            pairs.append((e, d, spectrum))
+        return pairs
+
+    def test_directions_are_the_signed_eigenpoints(self, census):
+        pairs = self._match(census)
+        assert len(census) == len(_EXACT_CENSUS)
+        # every closed-form direction is hit exactly once
+        assert len({d.tobytes() for _, d, _ in pairs}) == len(_EXACT_CENSUS)
+        for e, d, _ in pairs:
+            assert np.abs(e.direction - d).max() <= 1e-12
+
+    def test_spectra_are_the_closed_forms(self, census):
+        for e, _, spectrum in self._match(census):
+            got = np.sort(e.eigenvalues.real)[::-1]
+            assert np.abs(got - np.array(spectrum)).max() <= 1e-12, e.direction
+
+    def test_rays_and_line_4_are_read_in_chart_1(self, census):
+        for e, d, spectrum in self._match(census):
+            if spectrum in (_RAY, _RAY4):
+                assert e.chart == 1
+                assert min(np.abs(d - r).max() for r in invariant_directions()) <= 1e-15
+
+    def test_chart_1_resultant_factors(self):
+        sp = pytest.importorskip("sympy")
+        a, b = sp.symbols("a b")
+        x = (sp.Integer(1), a, b)
+        p = [6 * x[1] * x[2] + x[0] ** 2 - x[1] ** 2 - x[2] ** 2,
+             6 * x[0] * x[2] + x[1] ** 2 - x[0] ** 2 - x[2] ** 2,
+             6 * x[0] * x[1] + x[2] ** 2 - x[0] ** 2 - x[1] ** 2]
+        # the polynomials are the package's field, checked at integer points
+        for point in ((2, -3), (5, 7), (-1, 4)):
+            values = [float(q.subs({a: point[0], b: point[1]})) for q in p]
+            assert tuple(values) == poly_rhs((1.0, float(point[0]), float(point[1])))
+        g1, g2 = sp.expand(p[1] - a * p[0]), sp.expand(p[2] - b * p[0])
+        res = sp.resultant(g1, g2, b)
+        want = -64 * (a - 1) ** 3 * (a ** 2 - 4 * a - 4) * (4 * a ** 2 + 4 * a - 1)
+        assert sp.expand(res - want) == 0
+
+
 def sequential_collect(f, chart, candidates, roots):
     """Reference root collection: one candidate at a time, first of each cluster wins."""
     for z in candidates:

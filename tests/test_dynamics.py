@@ -278,7 +278,8 @@ class TestLyapunovSpectrum:
         spec = lyapunov_spectrum(lambda x: A @ x, (0.3, 0.3, 0.3),
                                  IntegratorConfig(t_end=30.0), 0.1, jacobian=lambda x: A)
         assert spec.history[-1][0] == pytest.approx(spec.t_used)
-        assert spec.history[-1][1] == pytest.approx(spec.exponents)
+        # history keeps frame order; only the exponents are sorted
+        assert np.sort(spec.history[-1][1])[::-1] == pytest.approx(spec.exponents)
 
     def test_diagonal_ray_spectrum_in_chart(self):
         # along the diagonal invariant ray the chart-1 tangent dynamics are
@@ -343,10 +344,14 @@ class TestLyapunovSpectrum:
             lyapunov_spectrum(decay_field, (1.0, 0.0, 0.0),
                               IntegratorConfig(t_end=1.0), 0.0, jacobian=lambda x: -np.eye(3))
 
-    @pytest.mark.parametrize("renorm_dt, t_end", [(1e300, 5.0), (2e4, 2e4)])
-    def test_rejects_too_many_steps_in_long_segments(self, renorm_dt, t_end):
+    @pytest.mark.parametrize("renorm_dt, t_end, match", [
+        # a segment far longer than the run is not a whole number of segments
+        pytest.param(1e300, 5.0, "whole number of renorm_dt segments", id="1e+300-5.0"),
+        pytest.param(2e4, 2e4, "segments times renorm_dt / max_step", id="20000.0-20000.0"),
+    ])
+    def test_rejects_too_many_steps_in_long_segments(self, renorm_dt, t_end, match):
         # one segment of length renorm_dt runs renorm_dt / max_step steps
-        with pytest.raises(ValueError, match="segments times renorm_dt / max_step"):
+        with pytest.raises(ValueError, match=match):
             lyapunov_spectrum(decay_field, (1.0, 0.0, 0.0),
                               IntegratorConfig(t_end=t_end, max_step=0.1), renorm_dt,
                               jacobian=lambda x: -np.eye(3))
@@ -361,8 +366,8 @@ class TestLyapunovSpectrum:
     @pytest.mark.parametrize("renorm_dt, t_end", [(1000.0, 1.0), (1.5, 1.0)])
     def test_rejects_a_segment_longer_than_the_run(self, renorm_dt, t_end):
         # one such segment used to integrate far past t_end and could end
-        # in nan exponents with t_used 0
-        with pytest.raises(ValueError, match="renorm_dt must not exceed t_end"):
+        # in nan exponents with t_used 0; it is less than one whole segment
+        with pytest.raises(ValueError, match="whole number of renorm_dt segments"):
             lyapunov_spectrum(decay_field, (1.0, 0.0, 0.0), IntegratorConfig(t_end=t_end),
                               renorm_dt, jacobian=lambda x: -np.eye(3))
 
@@ -370,6 +375,24 @@ class TestLyapunovSpectrum:
         spec = lyapunov_spectrum(decay_field, (1.0, 0.0, 0.0), IntegratorConfig(t_end=1.0),
                                  1.0, jacobian=lambda x: -np.eye(3))
         assert spec.t_used == 1.0 and len(spec.history) == 1
+
+    @pytest.mark.parametrize("renorm_dt, t_end", [(7.0, 12.0), (0.6, 1.0), (0.3, 1.0)])
+    def test_rejects_a_partial_last_segment(self, renorm_dt, t_end):
+        # a partial last segment would run past t_end
+        with pytest.raises(ValueError, match="whole number of renorm_dt segments"):
+            lyapunov_spectrum(decay_field, (1.0, 0.0, 0.0), IntegratorConfig(t_end=t_end),
+                              renorm_dt, jacobian=lambda x: -np.eye(3))
+
+    @pytest.mark.parametrize("renorm_dt, t_end", [(0.1, 3.0), (0.1, 9.9), (0.3, 9.0)])
+    def test_times_count_whole_segments(self, renorm_dt, t_end):
+        # segment j ends at (j + 1) * renorm_dt exactly, not at a running sum;
+        # the runs end before t = 10, so none stops early
+        spec = lyapunov_spectrum(decay_field, (1.0, 0.0, 0.0), IntegratorConfig(t_end=t_end),
+                                 renorm_dt, jacobian=lambda x: -np.eye(3))
+        segments = round(t_end / renorm_dt)
+        assert not spec.converged and len(spec.history) == segments
+        assert spec.t_used == segments * renorm_dt
+        assert [t for t, _ in spec.history] == [(j + 1) * renorm_dt for j in range(segments)]
 
     @pytest.mark.parametrize("x0", [(1.0, 2.0), (1.0,), ()])
     def test_rejects_states_of_fewer_than_three_components(self, x0):
@@ -483,11 +506,14 @@ class _ReferenceStepper(_ParentStepper):
 
 
 def _parent_lyapunov_spectrum(field, x0, cfg, renorm_dt, *, jacobian):
-    """Verbatim copy of the Lyapunov driver that started a stepper per segment.
+    """Copy of the Lyapunov driver that started a stepper per segment.
 
     Each segment builds a fresh reference stepper on a config whose
     max_step is capped at renorm_dt, and the step size is carried across
-    by hand.  The driver's validation and work counters are left out.
+    by hand.  The segment bookkeeping is the current driver's: whole
+    segments ending at (k + 1) * renorm_dt, the 0.75*t look-back by index,
+    and unsorted running averages.  The driver's validation and work
+    counters are left out.
     """
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
@@ -499,9 +525,8 @@ def _parent_lyapunov_spectrum(field, x0, cfg, renorm_dt, *, jacobian):
     frame = np.eye(3, n)
     state = np.concatenate([x0, frame.ravel()])
     sums = np.zeros(3)
-    t_acc = 0.0
+    t = 0.0
     history: list[tuple[float, np.ndarray]] = []
-    n_past = 0
     max_defect = 0.0
     converged = False
     note = ""
@@ -509,10 +534,10 @@ def _parent_lyapunov_spectrum(field, x0, cfg, renorm_dt, *, jacobian):
     seg_cfg = IntegratorConfig(rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
                                max_step=min(cfg.max_step, renorm_dt),
                                t_end=renorm_dt, min_step=cfg.min_step)
-    n_segments = math.ceil(cfg.t_end / renorm_dt)
+    n_segments = round(cfg.t_end / renorm_dt)
     h_carried = None
     try:
-        for _ in range(n_segments):
+        for k in range(n_segments):
             stepper = _ParentStepper(ext_rhs, 0.0, state, seg_cfg)
             if h_carried is not None:
                 stepper.h = h_carried
@@ -540,27 +565,23 @@ def _parent_lyapunov_spectrum(field, x0, cfg, renorm_dt, *, jacobian):
             gram = frame @ frame.T
             max_defect = max(max_defect, float(np.max(np.abs(gram - np.eye(3)))))
             state[n:] = frame.ravel()
-            t_acc += renorm_dt
-            running = np.sort(sums / t_acc)[::-1]
-            history.append((t_acc, running))
-            if t_acc >= dynamics._LYAPUNOV_MIN_TIME:
-                # history times increase, so the entries at or before the
-                # cutoff form a prefix whose end only moves forward
-                cutoff = 0.75 * t_acc
-                while n_past < len(history) and history[n_past][0] <= cutoff:
-                    n_past += 1
-                if n_past:
-                    drift = float(np.max(np.abs(history[n_past - 1][1] - running)))
-                    if drift < dynamics._LYAPUNOV_TOL:
-                        converged = True
-                        break
+            t = (k + 1) * renorm_dt
+            running = sums / t
+            history.append((t, running))
+            # entries 0 .. 3(k+1)//4 - 1 end at or before 0.75*t
+            past = 3 * (k + 1) // 4
+            if t >= dynamics._LYAPUNOV_MIN_TIME and past:
+                drift = float(np.max(np.abs(history[past - 1][1] - running)))
+                if drift < dynamics._LYAPUNOV_TOL:
+                    converged = True
+                    break
     except _StepCollapse as exc:
         note = f"base trajectory diverged: {exc}"
 
-    exponents = np.sort(sums / t_acc)[::-1] if t_acc > 0 else np.full(3, np.nan)
+    exponents = np.sort(sums / t)[::-1] if t > 0 else np.full(3, np.nan)
     return dynamics.LyapunovSpectrum(
         exponents=exponents,
-        t_used=t_acc,
+        t_used=t,
         converged=converged,
         history=history,
         max_gram_defect=max_defect,
@@ -739,13 +760,14 @@ class TestStepperMatchesReference:
     def test_lyapunov_rays_bitwise(self, line, renorm_dt):
         field = model_poly_field()
         z0 = chart_coords(sphere_from_ambient(2.0 * invariant_directions()[line - 1]), 1)
-        cfg = IntegratorConfig(rel_tol=1e-7, abs_tol=1e-10, max_step=0.1, t_end=20.0)
+        # a whole number of segments for each renorm_dt (18 / 0.3 rounds to 60)
+        cfg = IntegratorConfig(rel_tol=1e-7, abs_tol=1e-10, max_step=0.1, t_end=18.0)
         args = (functools.partial(compactified_field_array, field, 1), z0, cfg, renorm_dt)
         jac = functools.partial(compactified_jacobian, field, 1)
         cur = lyapunov_spectrum(*args, jacobian=jac)
         ref = _parent_lyapunov_spectrum(*args, jacobian=jac)
         _assert_same_spectrum(cur, ref)
-        assert len(cur.history) == math.ceil(20.0 / renorm_dt)
+        assert len(cur.history) == round(18.0 / renorm_dt)
 
     def test_converged_lyapunov_run_bitwise(self):
         A = np.diag([-1.0, -2.0, -3.0])
@@ -1115,3 +1137,22 @@ class TestBlowUpRadius:
         with pytest.raises(ValueError):
             integrate_with_events(poly_rhs, (1.0, 1.0, 1.0), IntegratorConfig(t_end=0.1),
                                   blow_up_radius=radius)
+
+
+class TestAgainstScipy:
+    """Every accepted point agrees with an independent high-order solver."""
+
+    @pytest.mark.parametrize("field, x0, t_end", [
+        (ricci_field, (1.0, 2.0, 3.0), 0.5),
+        (poly_rhs, (1.0, 1.0, 1.0), 0.15),
+    ])
+    def test_matches_dop853(self, field, x0, t_end):
+        # scipy is a test-only cross-check, not a dependency of the package
+        integrate = pytest.importorskip("scipy.integrate")
+        traj = integrate_with_events(field, x0, IntegratorConfig(t_end=t_end))
+        assert traj.termination == "reached_t_end" and traj.final_time == t_end
+        ref = integrate.solve_ivp(lambda t, y: field(y), (0.0, t_end), x0, method="DOP853",
+                                  rtol=1e-13, atol=1e-14, dense_output=True)
+        want = ref.sol(traj.times).T
+        rel = np.abs(traj.states - want).max(axis=1) / np.abs(want).max(axis=1)
+        assert rel.max() <= 1e-7

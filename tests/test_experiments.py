@@ -259,6 +259,15 @@ class TestLyapunovTable:
             # no step is longer than a segment or than the base max_step 0.1
             assert 0.0 < w["h_min"] <= w["h_max"] <= 0.1
 
+    def test_rows_are_permutation_equivariant(self):
+        # swapping x1 and x2 maps ray 1, (1, 2+2*sqrt2, 1), onto line 4,
+        # (2+2*sqrt2, 1, 1), and chart U1 onto U2, so the rows are the same run
+        t = lyapunov_exponent_table(lines=(1, 4), charts=(1, 2), t_max=20.0)
+        for a, b in (((1, 1), (4, 2)), ((1, 2), (4, 1))):
+            ra, rb = t.row(*a), t.row(*b)
+            assert (ra.exponents, ra.t_used, ra.converged, ra.work) == \
+                (rb.exponents, rb.t_used, rb.converged, rb.work)
+
     @pytest.mark.parametrize("renorm_dt, t_max", [(7.0, 12.0), (0.6, 1.0), (0.3, 1.0)])
     def test_rejects_a_partial_last_segment(self, renorm_dt, t_max):
         # whole segments only, so a partial one would run past t_max
