@@ -85,9 +85,9 @@ class PolyField3:
     floats and ``jac`` three rows of three, and the chart formulas unpack
     them (a tuple answer, as ``poly_rhs`` and ``poly_jacobian`` give,
     costs no array round trip).  ``func`` must also accept an (N, 3) float
-    array of points, evaluated row by row into an (N, 3) float ndarray;
-    the equator census calls it on all grid seeds at once.  ``jac`` is only
-    called on single points.
+    array of points, evaluated row by row into an (N, 3) float ndarray: the
+    census reads P's monomial coefficients off its values at integer points
+    and tests settled Newton points.  ``jac`` is only called on single points.
     """
 
     func: Callable
@@ -258,8 +258,8 @@ def compactified_jacobian(f: PolyField3, chart: int, z) -> np.ndarray:
     ]).reshape(3, 3)
 
 
-# the Newton search keeps several (grid^2, 2) float arrays alive; 512 bounds
-# them at a few MB each
+# a Newton step over all seeds peaks at a few dozen float vectors of grid^2
+# entries, about 80 MB at 512
 MAX_GRID_RESOLUTION = 512
 
 # half-width of each chart's square of Newton seeds; the ten-point census
@@ -306,11 +306,7 @@ class InfinityEquilibrium:
 def _batch_equator_field(f: PolyField3, chart: int, pts: np.ndarray) -> np.ndarray:
     """Equator system at many (z1, z2) points at once."""
     slot, a, b = _chart_idx(chart)
-    w = np.empty((pts.shape[0], 3))
-    w[:, slot] = 1.0
-    w[:, a] = pts[:, 0]
-    w[:, b] = pts[:, 1]
-    q = f.func(w)
+    q = f.func(np.insert(pts, slot, 1.0, axis=1))
     return np.stack(
         [-pts[:, 0] * q[:, slot] + q[:, a], -pts[:, 1] * q[:, slot] + q[:, b]],
         axis=-1,
@@ -335,38 +331,68 @@ def _collect_roots(f: PolyField3, chart: int, candidates: np.ndarray,
         cand = cand[np.linalg.norm(cand - cand[0], axis=1) >= _DEDUPE_RADIUS]
 
 
+def _monomial_coefficients(f: PolyField3) -> tuple[list, np.ndarray]:
+    """Exponents beta, |beta| = d, and P's coefficients of x^beta, one row per beta.
+
+    The integer points beta of the simplex determine P: one ``f.func`` call, one solve.
+    """
+    d = f.degree
+    betas = [(i, j, d - i - j) for i in range(d + 1) for j in range(d + 1 - i)]
+    vander = [[math.prod(p ** b for p, b in zip(pt, beta)) for beta in betas] for pt in betas]
+    return betas, np.linalg.solve(np.array(vander, dtype=float),
+                                  np.asarray(f.func(np.array(betas, dtype=float)), dtype=float))
+
+
+def _equator_system(f: PolyField3, chart: int) -> Callable:
+    """Exact evaluator (z1, z2) -> (G1, G2, J11, J12, J21, J22) of the equator system.
+
+    G = (-z1*P_slot(w) + P_a(w), -z2*P_slot(w) + P_b(w)), from P's monomial coefficients.
+    """
+    slot, a, b = _chart_idx(chart)
+    n = f.degree + 1
+    p = np.zeros((3, n, n))
+    for beta, c in zip(*_monomial_coefficients(f)):
+        p[:, beta[a], beta[b]] += c[[slot, a, b]]
+    k = np.arange(n)
+    # rows P, dP/dz1, dP/dz2; column i*n + j multiplies z1^i * z2^j.  A partial's
+    # zeroed exponent-0 terms roll round to power n - 1, which it does not reach
+    kernel = np.concatenate([p, np.roll(p * k[:, None], -1, axis=1),
+                             np.roll(p * k, -1, axis=2)]).reshape(9, n * n)
+
+    def system(z1, z2):
+        # powers of each coordinate as contiguous rows, so P is one matmul
+        p1, p2 = np.ones((n, len(z1))), np.ones((n, len(z1)))
+        for i in range(1, n):
+            p1[i], p2[i] = p1[i - 1] * z1, p2[i - 1] * z2
+        qs, qa, qb, s1, a1, b1, s2, a2, b2 = kernel @ (p1[:, None] * p2).reshape(n * n, -1)
+        return (-z1 * qs + qa, -z2 * qs + qb, -qs - z1 * s1 + a1, -z1 * s2 + a2,
+                -z2 * s1 + b1, -qs - z2 * s2 + b2)
+
+    return system
+
+
 def _batch_newton_roots(f: PolyField3, chart: int, seeds: np.ndarray) -> list[np.ndarray]:
-    """Simultaneous damped Newton iteration over all grid seeds."""
-    pts = seeds.copy()
-    alive = np.arange(len(pts))
+    """Simultaneous Newton iteration over all grid seeds, with the exact Jacobian."""
+    system = _equator_system(f, chart)
+    z1, z2 = seeds.T
     escape = 10.0 * _SEED_BOX
     roots: list[np.ndarray] = []
-    fd_h = 1e-6
 
     for _ in range(_MAX_NEWTON_ITER):
-        if len(alive) == 0:
+        if len(z1) == 0:
             break
-        cur = pts[alive]
-        F = _batch_equator_field(f, chart, cur)
-        Fp1 = _batch_equator_field(f, chart, cur + [fd_h, 0.0])
-        Fm1 = _batch_equator_field(f, chart, cur - [fd_h, 0.0])
-        Fp2 = _batch_equator_field(f, chart, cur + [0.0, fd_h])
-        Fm2 = _batch_equator_field(f, chart, cur - [0.0, fd_h])
-        j11 = (Fp1[:, 0] - Fm1[:, 0]) / (2 * fd_h)
-        j21 = (Fp1[:, 1] - Fm1[:, 1]) / (2 * fd_h)
-        j12 = (Fp2[:, 0] - Fm2[:, 0]) / (2 * fd_h)
-        j22 = (Fp2[:, 1] - Fm2[:, 1]) / (2 * fd_h)
+        g1, g2, j11, j12, j21, j22 = system(z1, z2)
         det = j11 * j22 - j12 * j21
         with np.errstate(all="ignore"):
-            s1 = (-F[:, 0] * j22 + F[:, 1] * j12) / det
-            s2 = (-F[:, 1] * j11 + F[:, 0] * j21) / det
-        new = cur + np.stack([s1, s2], axis=-1)
-        step = np.hypot(s1, s2)
-        finite = np.all(np.isfinite(new), axis=1) & (np.max(np.abs(new), axis=1) <= escape)
-        settled = finite & (step < 1e-12 * (1.0 + np.linalg.norm(cur, axis=1)))
-        pts[alive[finite]] = new[finite]
-        _collect_roots(f, chart, new[settled], roots)
-        alive = alive[finite & ~settled]
+            s1 = (-g1 * j22 + g2 * j12) / det
+            s2 = (-g2 * j11 + g1 * j21) / det
+        n1, n2 = z1 + s1, z2 + s2
+        # NaN fails both comparisons, so non-finite points escape too
+        finite = (np.abs(n1) <= escape) & (np.abs(n2) <= escape)
+        settled = finite & (np.hypot(s1, s2) < 1e-12 * (1.0 + np.hypot(z1, z2)))
+        _collect_roots(f, chart, np.column_stack([n1[settled], n2[settled]]), roots)
+        keep = finite & ~settled
+        z1, z2 = n1[keep], n2[keep]
     return roots
 
 
@@ -463,17 +489,11 @@ def _ball_field_taylor(f: PolyField3, center) -> np.ndarray:
     """Exact Taylor coefficients of the ball field F at ``center``.
 
     Returns an array t of shape (3, n, n, n), n = d + 3, with
-    F_j(center + e) = sum over a of t[j, a] * e1^a1 * e2^a2 * e3^a3.  The
-    monomial coefficients of P come from one ``f.func`` call on the integer
-    points of the simplex {beta : |beta| = d}, which determine a homogeneous
-    polynomial of degree d.
+    F_j(center + e) = sum over a of t[j, a] * e1^a1 * e2^a2 * e3^a3, built
+    from P's monomial coefficients (:func:`_monomial_coefficients`).
     """
-    d = f.degree
-    n = d + 3
-    betas = [(i, j, d - i - j) for i in range(d + 1) for j in range(d + 1 - i)]
-    vander = [[math.prod(p ** b for p, b in zip(pt, beta)) for beta in betas] for pt in betas]
-    coef = np.linalg.solve(np.array(vander, dtype=float),
-                           np.asarray(f.func(np.array(betas, dtype=float)), dtype=float))
+    n = f.degree + 3
+    betas, coef = _monomial_coefficients(f)
 
     def mul(p, q):
         # product of two polynomials whose degrees sum to less than n

@@ -590,6 +590,64 @@ class TestRootCollection:
             assert [r.tobytes() for r in got] == [r.tobytes() for r in want]
 
 
+def _max_rel_error(got, want):
+    # largest entry error over the largest reference entry, per point
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+class TestNewtonKernel:
+    # the sweep's Newton step reads G and its exact Jacobian off P's monomial
+    # coefficients, so they must match the chart formulas for every degree
+
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    @pytest.mark.parametrize("chart", [1, 2, 3])
+    def test_matches_chart_field_and_jacobian(self, degree, chart):
+        f = HOMOGENEOUS_FIELDS[degree]
+        escape = 10.0 * compactify._SEED_BOX
+        rng = np.random.default_rng(60 + 3 * degree + chart)
+        # out to the escape radius, with a share of points near the chart origin
+        pts = rng.uniform(-escape, escape, size=(300, 2))
+        pts[:100] *= 10.0 ** rng.uniform(-6.0, -1.0, size=(100, 1))
+        g1, g2, j11, j12, j21, j22 = compactify._equator_system(f, chart)(pts[:, 0], pts[:, 1])
+        want_g = compactify._batch_equator_field(f, chart, pts)
+        for k, (z1, z2) in enumerate(pts):
+            want_j = compactified_jacobian(f, chart, (z1, z2, 0.0))[:2, :2]
+            assert _max_rel_error(np.array([g1[k], g2[k]]), want_g[k]) <= 1e-12
+            assert _max_rel_error(np.array([[j11[k], j12[k]], [j21[k], j22[k]]]), want_j) <= 1e-12
+
+    def test_sweep_never_calls_the_jacobian(self, field):
+        # only classify_equilibrium may evaluate f.jac, once per census root
+        def no_jac(x):
+            raise AssertionError("the Newton sweep called f.jac")
+
+        blind = PolyField3(func=field.func, jac=no_jac, degree=2)
+        for chart in (1, 2, 3):
+            roots = chart_equator_roots(blind, chart)
+            assert len(roots) == 7
+            assert [r.tobytes() for r in roots] == \
+                [r.tobytes() for r in chart_equator_roots(field, chart)]
+
+    # roots per chart and census stabilities of the other degrees, pinned (the
+    # linear field's matrix has one real eigenvalue, so one direction)
+    _OTHER_DEGREES = {
+        1: (1, ["attractor"]),
+        3: (9, ["nonhyperbolic", "nonhyperbolic", "attractor", "nonhyperbolic", "saddle",
+                "nonhyperbolic", "attractor", "saddle", "saddle", "nonhyperbolic",
+                "nonhyperbolic", "attractor", "nonhyperbolic", "nonhyperbolic",
+                "nonhyperbolic", "attractor"]),
+    }
+
+    @pytest.mark.parametrize("degree", [1, 3])
+    def test_other_degrees_keep_their_census(self, degree):
+        f = HOMOGENEOUS_FIELDS[degree]
+        per_chart, stabilities = self._OTHER_DEGREES[degree]
+        assert [len(chart_equator_roots(f, chart)) for chart in (1, 2, 3)] == [per_chart] * 3
+        census = find_infinity_equilibria(f)
+        assert [e.stability for e in census] == stabilities
+        for e in census:
+            assert e.residual(f) < 1e-12
+
+
 class TestSearchConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
