@@ -258,8 +258,7 @@ def _cmd_integrate(opts) -> tuple[str, int]:
 
 
 def _cmd_infinity(opts) -> tuple[str, int]:
-    cfg = cpt.SearchConfig(grid_resolution=opts["grid"])
-    eqs = cpt.find_infinity_equilibria(cpt.model_poly_field(), cfg)
+    eqs = cpt.find_infinity_equilibria(cpt.model_poly_field(), opts["grid"])
     return _json({
         "equilibria": [
             {

@@ -61,7 +61,6 @@ __all__ = [
     "classify_equilibrium",
     "find_infinity_equilibria",
     "InfinityEquilibrium",
-    "SearchConfig",
     "AttractionCertificate",
     "attraction_certificate",
 ]
@@ -278,17 +277,6 @@ _HYPER_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class SearchConfig:
-    """Parameters of the seeded Newton search for equator equilibria."""
-
-    grid_resolution: int = 48  # seeds per axis, in [32, MAX_GRID_RESOLUTION]
-
-    def __post_init__(self):
-        if not 32 <= self.grid_resolution <= MAX_GRID_RESOLUTION:
-            raise ValueError(f"grid_resolution must lie in [32, {MAX_GRID_RESOLUTION}]")
-
-
-@dataclass(frozen=True)
 class InfinityEquilibrium:
     """Equilibrium of the compactified field on the equator of S^3."""
 
@@ -313,9 +301,8 @@ def _batch_equator_field(f: PolyField3, chart: int, pts: np.ndarray) -> np.ndarr
     )
 
 
-def _collect_roots(f: PolyField3, chart: int, candidates: np.ndarray,
-                   roots: list[np.ndarray]) -> None:
-    """Append the new distinct roots among settled Newton ``candidates`` to ``roots``.
+def _collect_roots(f: PolyField3, chart: int, candidates: np.ndarray) -> list[np.ndarray]:
+    """The distinct roots among settled Newton ``candidates``, in their order.
 
     Same rule as visiting the candidates in order and keeping each one that
     passes the residual test and lies at least the dedupe radius from every
@@ -323,12 +310,11 @@ def _collect_roots(f: PolyField3, chart: int, candidates: np.ndarray,
     """
     res = np.linalg.norm(_batch_equator_field(f, chart, candidates), axis=1)
     cand = candidates[res < _NEWTON_TOL]
-    if roots and len(cand):
-        dist = np.linalg.norm(cand[:, None, :] - np.array(roots)[None, :, :], axis=2)
-        cand = cand[np.all(dist >= _DEDUPE_RADIUS, axis=1)]
+    roots = []
     while len(cand):
         roots.append(cand[0])
         cand = cand[np.linalg.norm(cand - cand[0], axis=1) >= _DEDUPE_RADIUS]
+    return roots
 
 
 def _monomial_coefficients(f: PolyField3) -> tuple[list, np.ndarray]:
@@ -371,13 +357,22 @@ def _equator_system(f: PolyField3, chart: int) -> Callable:
     return system
 
 
-def _batch_newton_roots(f: PolyField3, chart: int, seeds: np.ndarray) -> list[np.ndarray]:
-    """Simultaneous Newton iteration over all grid seeds, with the exact Jacobian."""
-    system = _equator_system(f, chart)
-    z1, z2 = seeds.T
-    escape = 10.0 * _SEED_BOX
-    roots: list[np.ndarray] = []
+def chart_equator_roots(f: PolyField3, chart: int, grid: int = 48) -> list[np.ndarray]:
+    """Distinct equator roots (z1, z2) of one chart, from a seeded grid search.
 
+    ``grid`` seeds per axis, in [32, MAX_GRID_RESOLUTION], all run through
+    one vectorized Newton iteration with the exact Jacobian.  Non-convergent
+    seeds are discarded silently; an empty list signals a grid too coarse
+    for the field at hand.  The points that settle are filtered once, in
+    the order they settled, and the roots come sorted by (z1, z2).
+    """
+    if not 32 <= grid <= MAX_GRID_RESOLUTION:
+        raise ValueError(f"grid must lie in [32, {MAX_GRID_RESOLUTION}]")
+    system = _equator_system(f, chart)
+    lin = np.linspace(-_SEED_BOX, _SEED_BOX, grid)
+    z1, z2 = (g.ravel() for g in np.meshgrid(lin, lin, indexing="ij"))
+    escape = 10.0 * _SEED_BOX
+    settled_pts = []
     for _ in range(_MAX_NEWTON_ITER):
         if len(z1) == 0:
             break
@@ -390,24 +385,10 @@ def _batch_newton_roots(f: PolyField3, chart: int, seeds: np.ndarray) -> list[np
         # NaN fails both comparisons, so non-finite points escape too
         finite = (np.abs(n1) <= escape) & (np.abs(n2) <= escape)
         settled = finite & (np.hypot(s1, s2) < 1e-12 * (1.0 + np.hypot(z1, z2)))
-        _collect_roots(f, chart, np.column_stack([n1[settled], n2[settled]]), roots)
+        settled_pts.append(np.column_stack([n1[settled], n2[settled]]))
         keep = finite & ~settled
         z1, z2 = n1[keep], n2[keep]
-    return roots
-
-
-def chart_equator_roots(f: PolyField3, chart: int, cfg: SearchConfig | None = None) -> list[np.ndarray]:
-    """Distinct equator roots (z1, z2) of one chart, from a seeded grid search.
-
-    Non-convergent seeds are discarded silently; an empty list signals a
-    grid too coarse for the field at hand.  All grid seeds run through one
-    vectorized Newton iteration.
-    """
-    cfg = cfg or SearchConfig()
-    lin = np.linspace(-_SEED_BOX, _SEED_BOX, cfg.grid_resolution)
-    g1, g2 = np.meshgrid(lin, lin, indexing="ij")
-    seeds = np.column_stack([g1.ravel(), g2.ravel()])
-    roots = _batch_newton_roots(f, chart, seeds)
+    roots = _collect_roots(f, chart, np.concatenate(settled_pts))
     roots.sort(key=lambda r: (round(r[0], 9), round(r[1], 9)))
     return roots
 
@@ -438,23 +419,22 @@ def classify_equilibrium(f: PolyField3, chart: int, z1: float, z2: float) -> Inf
     )
 
 
-def find_infinity_equilibria(f: PolyField3, cfg: SearchConfig | None = None) -> list[InfinityEquilibrium]:
+def find_infinity_equilibria(f: PolyField3, grid: int = 48) -> list[InfinityEquilibrium]:
     """All equator equilibria of the compactified field, across the three charts.
 
     Each equilibrium is reported once per *signed* ambient direction (the
     representative a covering chart sees, slot component positive); merging
     across charts keeps the first covering chart.  Sorted deterministically
-    by (chart, z1, z2).
+    by (chart, z1, z2): the charts are visited in order, and each chart's
+    roots come sorted.  ``grid`` is the seeds per axis of each chart's search.
     """
-    cfg = cfg or SearchConfig()
     found: list[InfinityEquilibrium] = []
     for chart in (1, 2, 3):
-        for root in chart_equator_roots(f, chart, cfg):
+        for root in chart_equator_roots(f, chart, grid):
             eq = classify_equilibrium(f, chart, root[0], root[1])
             if not any(np.linalg.norm(eq.direction - other.direction) < _DEDUPE_RADIUS
                        for other in found):
                 found.append(eq)
-    found.sort(key=lambda e: (e.chart, round(e.z[0], 9), round(e.z[1], 9)))
     return found
 
 

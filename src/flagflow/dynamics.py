@@ -286,10 +286,11 @@ def integrate_with_events(field, x0, cfg: IntegratorConfig, *,
     work = _new_work()
     # one error state for the run: the stepper expects it (see _Stepper)
     with np.errstate(all="ignore"):
+        # a start at or beyond the radius stops before the field is evaluated
+        if blow_up_radius is not None and float(np.max(np.abs(x0))) >= blow_up_radius:
+            return Trajectory(np.array(times), np.array(states), "blow_up_event", work=work)
         try:
             stepper = _Stepper(field, 0.0, x0, cfg, work)
-            if blow_up_radius is not None and float(np.max(np.abs(x0))) >= blow_up_radius:
-                return Trajectory(np.array(times), np.array(states), "blow_up_event", work=work)
             while stepper.t < cfg.t_end:
                 t0, y0, f0, t1, y1, f1 = stepper.step(cfg.t_end)
                 if blow_up_radius is not None and float(np.max(np.abs(y1))) >= blow_up_radius:

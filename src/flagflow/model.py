@@ -15,9 +15,10 @@ evaluates, in closed form:
   means r proportional to l here; the test r1 = r2 = r3 would instead
   call (1, 2, 1) Einstein, since r(1, 2, 1) = (1/3, 1/3, 1/3).
 
-Everything here is an exact formula in 64-bit floats; no iteration, no
-state.  The three components are always coded in the same cyclic pattern
-so that exactly-diagonal inputs produce bitwise-equal outputs.
+Everything here is an exact formula in 64-bit floats (the Ricci
+components fall back to rational arithmetic at extreme scales); no
+iteration, no state.  The three components are always coded in the same
+cyclic pattern so that exactly-diagonal inputs produce bitwise-equal outputs.
 """
 
 from __future__ import annotations
@@ -73,10 +74,24 @@ class RicciComponents(NamedTuple):
         return np.array(self, dtype=float)
 
 
-def _ricci_component(a: float, b: float, c: float) -> float:
+def _ricci_component(a, b, c):
     # r_a = 1/(2a) + (a/(bc) - b/(ac) - c/(ab)) / 12, identical op order in
-    # all three slots so diagonal inputs stay bitwise diagonal
-    return 1.0 / (2.0 * a) + (a / (b * c) - b / (a * c) - c / (a * b)) / 12.0
+    # all three slots so diagonal inputs stay bitwise diagonal; the integer
+    # constants convert exactly, so the formula also runs on Fractions
+    return 1 / (2 * a) + (a / (b * c) - b / (a * c) - c / (a * b)) / 12
+
+
+def _exact_ricci_component(a: float, b: float, c: float) -> float:
+    # the formula in rationals, rounded once; a value beyond the float range
+    # becomes an infinity of its sign.  Imported here: few metrics need it,
+    # and fractions loads decimal, which costs every run about 2 ms
+    from fractions import Fraction
+
+    r = _ricci_component(Fraction(a), Fraction(b), Fraction(c))
+    try:
+        return float(r)
+    except OverflowError:
+        return math.inf if r > 0 else -math.inf
 
 
 def ricci_components(m) -> RicciComponents:
@@ -86,17 +101,29 @@ def ricci_components(m) -> RicciComponents:
     every product of two components).  The components are homogeneous of
     degree -1, so they are evaluated as r(m) = r(m/s)/s with s the power of
     two that brings the largest component into [0.5, 1): the products of
-    two components can then neither overflow nor underflow, and scaling by
-    a power of two is exact, so results that need no scaling keep their bits.
+    two components can then no longer overflow, and scaling by a power of
+    two is exact, so results that need no scaling keep their bits.  Where
+    the components lie so far apart that a product still underflows to 0,
+    or a result overflows or is not finite, every component is evaluated
+    exactly in rationals and rounded once; a component beyond the float
+    range comes back as an infinity of its sign.
     """
     l12, l13, l23 = MetricParams.of(m)
     e = math.frexp(max(l12, l13, l23))[1]
     a, b, c = math.ldexp(l12, -e), math.ldexp(l13, -e), math.ldexp(l23, -e)
-    return RicciComponents(
-        math.ldexp(_ricci_component(a, b, c), -e),
-        math.ldexp(_ricci_component(b, a, c), -e),
-        math.ldexp(_ricci_component(c, a, b), -e),
-    )
+    try:
+        r = RicciComponents(
+            math.ldexp(_ricci_component(a, b, c), -e),
+            math.ldexp(_ricci_component(b, a, c), -e),
+            math.ldexp(_ricci_component(c, a, b), -e),
+        )
+        if math.isfinite(r.r12) and math.isfinite(r.r13) and math.isfinite(r.r23):
+            return r
+    except ArithmeticError:  # a product underflowed to 0, or a result overflowed
+        pass
+    return RicciComponents(_exact_ricci_component(l12, l13, l23),
+                           _exact_ricci_component(l13, l12, l23),
+                           _exact_ricci_component(l23, l12, l13))
 
 
 def flow_rhs(m) -> np.ndarray:

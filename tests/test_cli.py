@@ -60,6 +60,24 @@ class TestRicciCommand:
         values = [float(v) for v in proc.stdout.splitlines()[1].split(",")]
         assert values == pytest.approx([5 / 12 / float(scale)] * 3, rel=1e-15, abs=0)
 
+    @pytest.mark.parametrize("metric, want", [
+        ("1e300,1e300,1e-30", [5e-301, 5e-301, 1e30 / 3]),
+        ("1e300,1e300,1e-10", [5e-301, 5e-301, 1e10 / 3]),
+    ])
+    def test_components_far_apart(self, metric, want):
+        # the scaled products underflow; the components themselves are representable
+        proc = run_cli(["ricci", "--metric", metric])
+        assert proc.returncode == 0 and proc.stderr == ""
+        values = [float(v) for v in proc.stdout.splitlines()[1].split(",")]
+        assert values == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("metric", ["1e155,1,1e-155", "5e-324,5e-324,5e-324"])
+    def test_unrepresentable_components_exit_2(self, metric):
+        proc = run_cli(["ricci", "--metric", metric])
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("flagflow: numerical failure: ")
+        assert proc.stderr.count("\n") == 1
+
 
 class TestIntegrateCommand:
     def test_blow_up_gives_exit_2(self, tmp_path, capsys):
@@ -153,8 +171,9 @@ class TestInfinityCommand:
         run(["infinity", "--out", str(b)])
         assert read(a) == read(b)
 
-    def test_grid_validation(self):
-        assert run(["infinity", "--grid", "8"]) == 1
+    def test_grid_validation(self, capsys):
+        for grid, code in (("8", 1), ("31", 1), ("513", 1), ("32", 0)):
+            assert run(["infinity", "--grid", grid]) == code
 
     def test_huge_grid_rejected_before_allocating(self):
         proc = run_cli(["infinity", "--grid", "100000000"])

@@ -9,7 +9,6 @@ from flagflow import compactify
 from flagflow.compactify import (
     MAX_GRID_RESOLUTION,
     PolyField3,
-    SearchConfig,
     attraction_certificate,
     ball_projection,
     ball_unprojection,
@@ -391,7 +390,7 @@ CHART_ENTRY_POINTS = {
     "classify_equilibrium": lambda c: classify_equilibrium(
         model_poly_field(), c, 1.0, 1.0).eigenvalues,
     "chart_equator_roots": lambda c: np.array(
-        chart_equator_roots(model_poly_field(), c, SearchConfig(grid_resolution=32))),
+        chart_equator_roots(model_poly_field(), c, 32)),
 }
 
 
@@ -445,7 +444,7 @@ class TestEquatorCensus:
             assert np.min(np.abs(e.eigenvalues.real)) > 1e-6
 
     def test_dedupe_idempotent_under_finer_grid(self, field, census):
-        finer = find_infinity_equilibria(field, SearchConfig(grid_resolution=96))
+        finer = find_infinity_equilibria(field, 96)
         assert len(finer) == 10
         d1 = sorted(tuple(d) for d in (np.round(e.direction, 12) for e in census))
         d2 = sorted(tuple(d) for d in (np.round(e.direction, 12) for e in finer))
@@ -552,28 +551,29 @@ class TestExactCensus:
         assert sp.expand(res - want) == 0
 
 
-def sequential_collect(f, chart, candidates, roots):
+def sequential_collect(f, chart, candidates):
     """Reference root collection: one candidate at a time, first of each cluster wins."""
+    roots = []
     for z in candidates:
         res = float(np.linalg.norm(compactify._batch_equator_field(f, chart, z[None, :])[0]))
         if res < compactify._NEWTON_TOL:
             if not any(np.linalg.norm(z - r) < compactify._DEDUPE_RADIUS for r in roots):
                 roots.append(z)
+    return roots
 
 
 class TestRootCollection:
     @pytest.mark.parametrize("grid", [48, 96])
     @pytest.mark.parametrize("chart", [1, 2, 3])
     def test_matches_sequential_reference_bitwise(self, field, monkeypatch, chart, grid):
-        cfg = SearchConfig(grid_resolution=grid)
-        batched = chart_equator_roots(field, chart, cfg)
+        batched = chart_equator_roots(field, chart, grid)
         monkeypatch.setattr(compactify, "_collect_roots", sequential_collect)
-        reference = chart_equator_roots(field, chart, cfg)
+        reference = chart_equator_roots(field, chart, grid)
         assert [r.tobytes() for r in batched] == [r.tobytes() for r in reference]
 
     def test_clusters_and_known_roots(self, field, monkeypatch):
         # candidates spaced 0.6 radius apart along a line, shuffled among
-        # off-root points: chains, ties to earlier roots and residual misses
+        # off-root points: chains, ties and residual misses
         rng = np.random.default_rng(11)
         centres = chart_equator_roots(field, 1)
         monkeypatch.setattr(compactify, "_NEWTON_TOL", 1e-3)
@@ -582,12 +582,10 @@ class TestRootCollection:
         near = np.concatenate([c + steps for c in centres])
         far = rng.uniform(-3.0, 3.0, size=(20, 2))
         candidates = rng.permutation(np.concatenate([near, far]))
-        for known in ([], [centres[2]]):
-            got, want = list(known), list(known)
-            compactify._collect_roots(field, 1, candidates, got)
-            sequential_collect(field, 1, candidates, want)
-            assert len(want) > len(centres) - len(known)
-            assert [r.tobytes() for r in got] == [r.tobytes() for r in want]
+        got = compactify._collect_roots(field, 1, candidates)
+        want = sequential_collect(field, 1, candidates)
+        assert len(want) > len(centres)
+        assert [r.tobytes() for r in got] == [r.tobytes() for r in want]
 
 
 def _max_rel_error(got, want):
@@ -647,13 +645,21 @@ class TestNewtonKernel:
         for e in census:
             assert e.residual(f) < 1e-12
 
+    @pytest.mark.parametrize("grid", [32, 48])
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_census_comes_sorted(self, degree, grid):
+        # the charts run in order and each chart's roots come sorted, so the
+        # census needs no sort of its own
+        census = find_infinity_equilibria(HOMOGENEOUS_FIELDS[degree], grid)
+        keys = [(e.chart, round(e.z[0], 9), round(e.z[1], 9)) for e in census]
+        assert census and keys == sorted(keys)
+
 
 class TestSearchConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SearchConfig(grid_resolution=16)
-        with pytest.raises(ValueError):
-            SearchConfig(grid_resolution=MAX_GRID_RESOLUTION + 1)
+        for grid in (16, MAX_GRID_RESOLUTION + 1):
+            with pytest.raises(ValueError, match="grid must lie in"):
+                chart_equator_roots(model_poly_field(), 1, grid)
 
     def test_polyfield_validation(self):
         with pytest.raises(ValueError):

@@ -1045,11 +1045,14 @@ class TestWorkCounters:
         assert tr.work["h_min"] == pytest.approx(min(steps), rel=1e-9)
         assert tr.work["h_max"] == pytest.approx(max(steps), rel=1e-9)
         assert tr.work["h_max"] <= 0.5
-        # a start beyond the blow-up radius stops before the first step
-        tr = integrate_with_events(poly_rhs, (2e6, 1.0, 1.0), IntegratorConfig(t_end=1.0),
-                                   blow_up_radius=1e6)
-        assert tr.work["accepted"] == 0
-        assert tr.work["h_min"] == math.inf and tr.work["h_max"] == 0.0
+        # a start beyond the blow-up radius stops before the field is evaluated,
+        # also where the field overflows there
+        for x0 in ((2e6, 1.0, 1.0), (1e200, 1e200, 1e200)):
+            tr = integrate_with_events(poly_rhs, x0, IntegratorConfig(t_end=1.0),
+                                       blow_up_radius=1e6)
+            assert tr.termination == "blow_up_event" and tr.final_time == 0.0
+            assert tr.work["accepted"] == 0 and tr.work["evaluations"] == 0
+            assert tr.work["h_min"] == math.inf and tr.work["h_max"] == 0.0
 
     def test_defaults_to_empty(self):
         tr = Trajectory(times=np.array([0.0]), states=np.zeros((1, 3)),

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -93,6 +94,37 @@ class TestRicciAtExtremeScales:
             unscaled = (_ricci_component(a, b, c), _ricci_component(b, a, c),
                         _ricci_component(c, a, b))
             assert tuple(ricci_components((a, b, c))) == unscaled
+
+    @staticmethod
+    def _rational(a, b, c):
+        # r_a in exact rational arithmetic, rounded once; beyond the float
+        # range, an infinity of its sign
+        a, b, c = Fraction(a), Fraction(b), Fraction(c)
+        r = 1 / (2 * a) + (a / (b * c) - b / (a * c) - c / (a * b)) / 12
+        try:
+            return float(r)
+        except OverflowError:
+            return math.inf if r > 0 else -math.inf
+
+    def _assert_rational(self, a, b, c):
+        # each result is the exact value where that is representable, and
+        # infinite where not
+        got = ricci_components((a, b, c))
+        for value, slots in zip(got, ((a, b, c), (b, a, c), (c, a, b))):
+            want = self._rational(*slots)
+            assert value == (want if math.isinf(want) else pytest.approx(want, rel=1e-12, abs=0))
+
+    def test_log_uniform_triples_match_rational_arithmetic(self):
+        # components up to the whole float range apart
+        for a, b, c in 10.0 ** np.random.default_rng(23).uniform(-307, 307, (1000, 3)):
+            self._assert_rational(float(a), float(b), float(c))
+
+    @pytest.mark.parametrize("triple", [
+        (1e300, 1e300, 1e-30), (1e300, 1e300, 1e-10), (1e155, 1.0, 1e-155),
+        (5e-324, 5e-324, 5e-324), (1.7976931348623157e308, 5e-324, 1.0),
+    ])
+    def test_far_apart_triples_match_rational_arithmetic(self, triple):
+        self._assert_rational(*triple)
 
 
 class TestFlowRhs:
