@@ -40,9 +40,9 @@ print("Einstein constant on the (1,t,1)-type  :", c_ray, "= (2 - sqrt 2)/6")
 # normal (bi-invariant) Einstein metric, the other rays are Einstein but
 # not normal.  The run is the one the basin experiment makes.  It stops on
 # entry to the certified attraction set of the diagonal attractor, whose
-# census direction then is the limit (one unit in the last place off
-# symmetric); a run that settles at a saddle ray stops once two
-# consecutive points lie within 1e-7 of it.
+# census direction then is the limit (three bitwise-equal components); a
+# run that settles at a saddle ray stops once two consecutive points lie
+# within 1e-7 of it.
 
 for label, x0 in [
     ("slightly off the diagonal", (1.2, 1.25, 1.2)),

@@ -6,12 +6,12 @@
 # the sphere |x| = 0.6 outward) and integrate the compactified flow until
 # it settles at one of the equilibria at infinity.
 #
-# Settling at an attractor is proved, not sampled: each of the four
-# attractors at infinity (the diagonal and three mixed-sign points) has a
-# quadratic Lyapunov function V(e) = e^T M e whose sublevel set around it
-# provably flows to it.  A run stops at its first step inside a ball that
-# lies in that set (radius 0.057 around the diagonal, 0.071 around the
-# others), and the sample's end point is the attractor itself.
+# Settling at an attractor is proved, not sampled: around each of the four
+# attractors at infinity (the diagonal and three mixed-sign points) the
+# Lyapunov function V(e) = |e|^2 provably decreases on a ball, which
+# therefore flows to it.  A run stops at its first step inside 0.9 times
+# that ball (radius 0.069 around the diagonal, 0.085 around the others),
+# and the sample's end point is the attractor itself.
 
 import collections
 

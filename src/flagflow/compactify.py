@@ -23,7 +23,7 @@ component, which vanishes at z3 = 0, so the equator is invariant.
 Equilibria on the equator, their Jacobians and their stability types are
 found by a seeded Newton search per chart.
 
-Each attracting equilibrium can be given a quadratic Lyapunov certificate:
+Each attracting equilibrium can be given a Lyapunov certificate, V = |e|^2:
 a ball around it that provably flows to it (``attraction_certificate``).
 
 Points on the equator are recorded as *signed* ambient directions, one per
@@ -438,28 +438,25 @@ def find_infinity_equilibria(f: PolyField3, grid: int = 48) -> list[InfinityEqui
     return found
 
 
-# the stop ball is this fraction of the largest ball inside the certified
-# sublevel set, a margin for the rounding of the bound and of ball points
+# the stop ball is this fraction of the certified ball, a margin for the
+# rounding of the bound and of ball points
 _STOP_SAFETY = 0.9
 
 
 class AttractionCertificate(NamedTuple):
-    """Quadratic Lyapunov proof that a set around an attractor at infinity flows to it.
+    """Lyapunov proof that a ball around an attractor at infinity flows to it.
 
     In the ball picture the flow has the orbits of the ball field
     F(u) = P(u) - (u.P(u)) u (the integrators follow it up to a positive
-    time change).  With e = u - center and V(e) = e^T M e, V decreases
-    along F at every e with ``core_radius`` < |e| <= ``radius``, so the
-    sublevel set {V <= level}, which lies in |e| <= ``radius``, is forward
-    invariant, and every orbit in it approaches an attractor within
-    ``core_radius`` of the center (the center is a computed root, not an
-    exact one).  The ball of ``stop_radius`` around the center lies in
-    that set.
+    time change).  With e = u - center and V(e) = |e|^2, V decreases along
+    F at every e with ``core_radius`` < |e| <= ``radius``, so the ball
+    |e| <= ``radius`` is forward invariant, and every orbit in it
+    approaches an attractor within ``core_radius`` of the center (the
+    center is a computed root, not an exact one).  ``stop_radius`` is a
+    fixed fraction of ``radius``.
     """
 
     center: np.ndarray  # the attractor's ball point, its census direction
-    lyapunov_matrix: np.ndarray  # M, symmetric positive definite
-    level: float  # c = lambda_min(M) * radius^2
     radius: float
     core_radius: float
     stop_radius: float
@@ -497,30 +494,23 @@ def _ball_field_taylor(f: PolyField3, center) -> np.ndarray:
     return p_of_u - np.array([mul(u[j], u_dot_p) for j in range(3)])
 
 
-def _real_extremes(sym: np.ndarray) -> tuple[float, float]:
-    # smallest and largest eigenvalue of a symmetric matrix
-    eig = np.linalg.eigvals(sym).real
-    return float(eig.min()), float(eig.max())
-
-
 def attraction_certificate(f: PolyField3, eq: InfinityEquilibrium) -> AttractionCertificate | None:
-    """Certified attraction set of an attracting equilibrium at infinity, or None.
+    """Certified attraction ball of an attracting equilibrium at infinity, or None.
 
     Expands the ball field at u* = ``eq.direction`` exactly:
     F(u* + e) = F(u*) + A e + R_2(e) + ... + R_{d+2}(e), where each
     component of R_k is at most its sum of absolute coefficients times
-    |e|^k, so |R_k(e)| <= c_k |e|^k.  M solves A^T M + M A = -I (one 9x9
-    solve, symmetrised) up to the residual E = A^T M + M A + I, so
+    |e|^k, so |R_k(e)| <= c_k |e|^k.  With V = |e|^2 and
+    mu = -lambda_max((A + A^T) / 2),
 
-        dV/dt <= -|e|^2 ((1 - |E|) - 2 |M| (|F(u*)| / |e| + sum_k c_k |e|^(k-1))),
+        dV/dt = 2 e^T F(u* + e) <= -2 |e|^2 (mu - |F(u*)| / |e| - sum_k c_k |e|^(k-1)),
 
     which is negative on an interval of |e|; its upper end is the
     certified radius (found by bisection) and its lower end lies below
-    ``core_radius`` = 4 |M| |F(u*)| / (1 - |E|).  The stop radius is
-    ``_STOP_SAFETY`` times radius * sqrt(lambda_min(M) / lambda_max(M)),
-    the largest ball inside {V <= lambda_min(M) radius^2}.
-    Returns None when ``eq`` is not an attractor, M is not positive
-    definite, or the bound holds nowhere.  Matrix norms are spectral.
+    ``core_radius`` = 2 |F(u*)| / mu.  The stop radius is ``_STOP_SAFETY``
+    times the radius.  Returns None when ``eq`` is not an attractor, the
+    symmetric part of A is not negative definite, or the bound holds
+    nowhere.
     """
     if eq.stability != "attractor":
         return None
@@ -531,17 +521,9 @@ def attraction_certificate(f: PolyField3, eq: InfinityEquilibrium) -> Attraction
     degree = np.indices(taylor.shape[1:]).sum(axis=0)
     bounds = [float(np.linalg.norm(np.abs(taylor[:, degree == k]).sum(axis=1)))
               for k in range(2, f.degree + 3)]
-    eye = np.eye(3)
-    lyap = np.linalg.solve(np.kron(eye, a.T) + np.kron(a.T, eye), -eye.ravel()).reshape(3, 3)
-    lyap = 0.5 * (lyap + lyap.T)
-    # M and E are symmetric, so their real spectra give both norms; eigvals
-    # is the LAPACK routine the census already loads
-    m_min, m_norm = _real_extremes(lyap)
-    if not m_min > 0.0:
-        return None
-    e_lo, e_hi = _real_extremes(a.T @ lyap + lyap @ a + eye)
-    e_norm = max(-e_lo, e_hi)
-    budget = (1.0 - e_norm) / (2.0 * m_norm)
+    # the symmetric part's spectrum is real; eigvals is the LAPACK routine
+    # the census already loads
+    budget = -float(np.linalg.eigvals(0.5 * (a + a.T)).real.max())
 
     def holds(r: float) -> bool:
         return residual / r + sum(c * r ** (k + 1) for k, c in enumerate(bounds)) < budget
@@ -560,12 +542,5 @@ def attraction_certificate(f: PolyField3, eq: InfinityEquilibrium) -> Attraction
     while bad - good > 1e-12 * good:
         mid = 0.5 * (good + bad)
         good, bad = (mid, bad) if holds(mid) else (good, mid)
-    level = m_min * good * good
-    return AttractionCertificate(
-        center=center,
-        lyapunov_matrix=lyap,
-        level=level,
-        radius=good,
-        core_radius=core,
-        stop_radius=_STOP_SAFETY * good * math.sqrt(m_min / m_norm),
-    )
+    return AttractionCertificate(center=center, radius=good, core_radius=core,
+                                 stop_radius=_STOP_SAFETY * good)

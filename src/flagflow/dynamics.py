@@ -532,20 +532,23 @@ def lyapunov_spectrum(field, x0, cfg: IntegratorConfig, renorm_dt: float, *,
     Both ``field`` and ``jacobian`` must return inf/nan, not raise, at
     non-finite input (see :func:`integrate_with_events`).  Convergence is
     declared once, after t = 10, the running averages move less than 1e-3
-    componentwise between 0.75*t and t.  ``cfg.t_end`` must be a whole
-    number of ``renorm_dt`` segments (within a relative 1e-9); segment k
-    ends at t = (k + 1) * renorm_dt, the time ``history`` (averages in
-    frame order) and ``t_used`` report.  The segments, each of at least one
-    step and of steps no longer than ``cfg.max_step``, may plan at most
-    ``MAX_PLANNED_STEPS`` steps.  One stepper runs them all, restarting at
-    each renormalised state.  The state needs at least three components.
+    componentwise between 0.75*t and t.  ``renorm_dt`` must be finite and
+    at least ``cfg.min_step``, so that a segment holds a step.
+    ``cfg.t_end`` must be a whole number of ``renorm_dt`` segments (within
+    a relative 1e-9); segment k ends at t = (k + 1) * renorm_dt, the time
+    ``history`` (averages in frame order) and ``t_used`` report.  The
+    segments, each of at least one step and of steps no longer than
+    ``cfg.max_step``, may plan at most ``MAX_PLANNED_STEPS`` steps.  One
+    stepper runs them all, restarting at each renormalised state.  The
+    state needs at least three components.
 
     If the base trajectory diverges (leaves the sup-norm ball of radius
     1e3, or collapses the step size) before convergence, the partial
     averages are returned with ``converged=False``.
     """
-    if not (math.isfinite(renorm_dt) and renorm_dt > 0):
-        raise ValueError("renorm_dt must be positive and finite")
+    if not (math.isfinite(renorm_dt) and renorm_dt >= cfg.min_step):
+        raise ValueError(f"renorm_dt must be finite and at least the integrator's min_step "
+                         f"{cfg.min_step:g}, got {renorm_dt:g}")
     ratio = cfg.t_end / renorm_dt
     # checked first, which keeps round() away from an infinite ratio
     _check_planned_steps(ratio * max(1.0, renorm_dt / cfg.max_step),

@@ -66,13 +66,15 @@ _RUN_CFG = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-11, max_step=0.25, t_end=20
 
 # ambient radius of the Lyapunov base point on each ray
 _BASE_RADIUS = 2.0
+# exponents are compared at the 1e-3 level, so 1e-7 local tolerance is ample
+_LYAPUNOV_CFG = IntegratorConfig(rel_tol=1e-7, abs_tol=1e-10, max_step=0.1, t_end=500.0)
 
 # basin launch heights run from the ball image delta / sqrt(1 + delta^2) of
 # the sphere |x| = delta up to 0.98; from delta 4.925 on that band is empty
 MAX_BASIN_DELTA = 4.9
-# a basin sample takes about 2.3 ms and 31 accepted steps (lines 1-4,
-# seed 7, 200 samples each, 2.0-2.7 ms over three runs on a shared 2-vCPU
-# Xeon), so the cap bounds a line near 23 s
+# a basin sample takes about 1.5 ms and 30.5 accepted steps (lines 1-4,
+# seed 7, 200 samples each, 1.2-1.9 ms over three runs on a shared 2-vCPU
+# Xeon), so the cap bounds a line near 19 s
 MAX_BASIN_SAMPLES = 10_000
 
 # octant-scan grids hold about resolution^2 / 2 points; a whole verify run
@@ -326,6 +328,21 @@ class LyapunovTable:
         raise KeyError((line, chart))
 
 
+def _held_on_ray(field: cpt.PolyField3, chart: int, z0):
+    """The chart field along the invariant ray through z0: (0, 0, -P_slot(w0) z3).
+
+    The chart field's first two components do not depend on z3 and vanish
+    exactly on the ray, but in floats they leave a rounding residue of up
+    to 3.6e-15 there; steps long enough to turn it into a change of
+    (z1, z2) would carry the base off its ray.  Set to 0.0, they keep
+    (z1, z2) at z0's, so the third component is the chart field's at
+    (z0[0], z0[1], z3), linear in z3, bit for bit.  The tangent flow keeps
+    the full Jacobian.
+    """
+    rate = float(cpt.compactified_field_array(field, chart, (z0[0], z0[1], 1.0))[2])
+    return lambda z: np.array([0.0, 0.0, rate * z[2]])
+
+
 def lyapunov_exponent_table(lines: Sequence[int] = (1, 2, 3, 4),
                             charts: Sequence[int] = (1,),
                             renorm_dt: float = 0.1,
@@ -334,16 +351,16 @@ def lyapunov_exponent_table(lines: Sequence[int] = (1, 2, 3, 4),
 
     The base trajectory starts at the chart image of the ambient point at
     radius 2 on the ray (outside the numerically unstable ball around the
-    origin) and follows the compactified field of the chart, with the
-    analytic chart Jacobian driving the tangent flow.
+    origin) and follows the compactified field of the chart, held on the ray
+    (:func:`_held_on_ray`), with the analytic chart Jacobian driving the
+    tangent flow.
     Non-convergent rows (including base trajectories that leave the chart)
     are reported with their partial averages and ``converged=False``.
     ``t_max`` passes to :func:`lyapunov_spectrum` as ``t_end``, so it must
     be a whole number of ``renorm_dt`` segments.
     """
     field = cpt.model_poly_field()
-    # exponents are compared at the 1e-3 level, so 1e-7 local tolerance is ample
-    base_cfg = IntegratorConfig(rel_tol=1e-7, abs_tol=1e-10, max_step=0.1, t_end=t_max)
+    base_cfg = dataclasses.replace(_LYAPUNOV_CFG, t_end=t_max)
     rows = []
     for line in lines:
         x0 = _BASE_RADIUS * line_direction(line)
@@ -351,8 +368,8 @@ def lyapunov_exponent_table(lines: Sequence[int] = (1, 2, 3, 4),
         for chart in charts:
             z0 = cpt.chart_coords(y, chart)
             spec = lyapunov_spectrum(
-                functools.partial(cpt.compactified_field_array, field, chart), z0, base_cfg,
-                renorm_dt, jacobian=functools.partial(cpt.compactified_jacobian, field, chart))
+                _held_on_ray(field, chart, z0), z0, base_cfg, renorm_dt,
+                jacobian=functools.partial(cpt.compactified_jacobian, field, chart))
             rows.append(LyapunovTableRow(
                 line=line,
                 chart=chart,

@@ -472,6 +472,7 @@ class TestInputBoundary:
         (["infinity", "--format", "csv"], 1),
         (["--format", "csv", "basin", "--line", "2"], 1),
         (["plot", "--format", "csv"], 1),
+        (["lyapunov", "--lines", "2", "--renorm-dt", "1e-13", "--t-max", "1e-13"], 1),
     ])
     def test_rejected_input_gives_one_line(self, argv, code):
         proc = run_cli(argv)

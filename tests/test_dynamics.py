@@ -344,6 +344,18 @@ class TestLyapunovSpectrum:
             lyapunov_spectrum(decay_field, (1.0, 0.0, 0.0),
                               IntegratorConfig(t_end=1.0), 0.0, jacobian=lambda x: -np.eye(3))
 
+    def test_rejects_a_segment_shorter_than_min_step(self):
+        # no segment below min_step can hold a step; it used to end in nan
+        # exponents with t_used 0, and a segment of exactly min_step runs
+        cfg = IntegratorConfig(t_end=1e-13)
+        with pytest.raises(ValueError, match="at least the integrator's min_step"):
+            lyapunov_spectrum(decay_field, (1.0, 0.0, 0.0), cfg, 1e-13,
+                              jacobian=lambda x: -np.eye(3))
+        cfg = IntegratorConfig(t_end=cfg.min_step)
+        spec = lyapunov_spectrum(decay_field, (1.0, 0.0, 0.0), cfg, cfg.min_step,
+                                 jacobian=lambda x: -np.eye(3))
+        assert spec.t_used == cfg.min_step and np.all(np.isfinite(spec.exponents))
+
     @pytest.mark.parametrize("renorm_dt, t_end, match", [
         # a segment far longer than the run is not a whole number of segments
         pytest.param(1e300, 5.0, "whole number of renorm_dt segments", id="1e+300-5.0"),

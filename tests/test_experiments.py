@@ -1,10 +1,12 @@
+import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from flagflow import experiments
-from flagflow.dynamics import distance_to_line_ball
+from flagflow import compactify, experiments
+from flagflow.dynamics import distance_to_line_ball, lyapunov_spectrum
 from flagflow.experiments import (
     classify_limit,
     cylinder_basin,
@@ -279,6 +281,36 @@ class TestLyapunovTable:
         # 0.3 / 0.1 is 2.9999999999999996 in floats: a whole number within 1e-9
         row = lyapunov_exponent_table(lines=(2,), renorm_dt=renorm_dt, t_max=t_max).row(2)
         assert row.t_used == pytest.approx(t_max, rel=1e-12)
+
+    @staticmethod
+    def _line_run(line, held, rel_tol, t_max):
+        # the table's chart-1 run of one line, its base field held on the ray or not
+        f = compactify.model_poly_field()
+        z0 = compactify.chart_coords(
+            compactify.sphere_from_ambient(experiments._BASE_RADIUS * line_direction(line)), 1)
+        field = (experiments._held_on_ray(f, 1, z0) if held
+                 else functools.partial(compactify.compactified_field_array, f, 1))
+        cfg = dataclasses.replace(experiments._LYAPUNOV_CFG, rel_tol=rel_tol, t_end=t_max)
+        return lyapunov_spectrum(field, z0, cfg, 0.1,
+                                 jacobian=functools.partial(compactify.compactified_jacobian, f, 1))
+
+    def test_held_rows_equal_the_plain_field_bit_for_bit(self):
+        # at the table's tolerance no step is long enough for the rounding
+        # residue of (z1, z2) on a ray to move them, so holding changes no bit
+        t = lyapunov_exponent_table(t_max=5.0)
+        for line in (1, 2, 3, 4):
+            row = t.row(line, 1)
+            spec = self._line_run(line, False, experiments._LYAPUNOV_CFG.rel_tol, 5.0)
+            assert row.exponents == tuple(spec.exponents.tolist())
+            assert (row.t_used, row.converged, row.work) == (spec.t_used, spec.converged, spec.work)
+
+    def test_held_saddle_row_stays_on_its_ray_at_a_loose_tolerance(self):
+        # at rtol 1e-4 the steps reach 0.1 and the plain base leaves ray 4 for
+        # the diagonal's basin; held, it keeps the saddle's unstable exponent
+        # 6 sqrt2 - 4 = 4.485
+        held = self._line_run(4, True, 1e-4, 20.0)
+        assert held.exponents[0] == pytest.approx(6.0 * math.sqrt(2.0) - 4.0, abs=0.05)
+        assert self._line_run(4, False, 1e-4, 20.0).exponents[0] < 0.0
 
     def test_row_lookup(self, table):
         with pytest.raises(KeyError):
