@@ -86,7 +86,7 @@ class PolyField3:
     costs no array round trip).  ``func`` must also accept an (N, 3) float
     array of points, evaluated row by row into an (N, 3) float ndarray: the
     census reads P's monomial coefficients off its values at integer points
-    and tests settled Newton points.  ``jac`` is only called on single points.
+    and takes the residual of its root polish.  ``jac`` gets single points only.
     """
 
     func: Callable
@@ -266,8 +266,9 @@ MAX_GRID_RESOLUTION = 512
 _SEED_BOX = 8.0
 
 _MAX_NEWTON_ITER = 40
+_POLISH_STEPS = 3  # Newton steps from a rounded start; from 5e-10 off, two reach rounding
 
-# a settled Newton point is a root when its equator residual is below
+# a polished Newton point is a root when its equator residual is below
 # _NEWTON_TOL; roots (and census directions) closer than _DEDUPE_RADIUS merge
 _NEWTON_TOL = 1e-12
 _DEDUPE_RADIUS = 1e-6
@@ -299,22 +300,6 @@ def _batch_equator_field(f: PolyField3, chart: int, pts: np.ndarray) -> np.ndarr
         [-pts[:, 0] * q[:, slot] + q[:, a], -pts[:, 1] * q[:, slot] + q[:, b]],
         axis=-1,
     )
-
-
-def _collect_roots(f: PolyField3, chart: int, candidates: np.ndarray) -> list[np.ndarray]:
-    """The distinct roots among settled Newton ``candidates``, in their order.
-
-    Same rule as visiting the candidates in order and keeping each one that
-    passes the residual test and lies at least the dedupe radius from every
-    root kept so far: the first settled seed of each cluster wins.
-    """
-    res = np.linalg.norm(_batch_equator_field(f, chart, candidates), axis=1)
-    cand = candidates[res < _NEWTON_TOL]
-    roots = []
-    while len(cand):
-        roots.append(cand[0])
-        cand = cand[np.linalg.norm(cand - cand[0], axis=1) >= _DEDUPE_RADIUS]
-    return roots
 
 
 def _monomial_coefficients(f: PolyField3) -> tuple[list, np.ndarray]:
@@ -357,14 +342,21 @@ def _equator_system(f: PolyField3, chart: int) -> Callable:
     return system
 
 
+def _newton_step(g1, g2, j11, j12, j21, j22):
+    """Newton step -J^-1 G of the equator system, elementwise over arrays."""
+    det = j11 * j22 - j12 * j21
+    with np.errstate(all="ignore"):
+        return (-g1 * j22 + g2 * j12) / det, (-g2 * j11 + g1 * j21) / det
+
+
 def chart_equator_roots(f: PolyField3, chart: int, grid: int = 48) -> list[np.ndarray]:
     """Distinct equator roots (z1, z2) of one chart, from a seeded grid search.
 
-    ``grid`` seeds per axis, in [32, MAX_GRID_RESOLUTION], all run through
-    one vectorized Newton iteration with the exact Jacobian.  Non-convergent
-    seeds are discarded silently; an empty list signals a grid too coarse
-    for the field at hand.  The points that settle are filtered once, in
-    the order they settled, and the roots come sorted by (z1, z2).
+    ``grid`` seeds per axis, in [32, MAX_GRID_RESOLUTION], run through one
+    vectorized Newton iteration with the exact Jacobian; an empty list means
+    a grid too coarse for the field.  Settled points rounded to 9 decimals
+    start a fixed Newton polish, so a root's bits depend on its rounded start
+    alone, not on the grid; roots come deduplicated, in sorted start order.
     """
     if not 32 <= grid <= MAX_GRID_RESOLUTION:
         raise ValueError(f"grid must lie in [32, {MAX_GRID_RESOLUTION}]")
@@ -376,20 +368,28 @@ def chart_equator_roots(f: PolyField3, chart: int, grid: int = 48) -> list[np.nd
     for _ in range(_MAX_NEWTON_ITER):
         if len(z1) == 0:
             break
-        g1, g2, j11, j12, j21, j22 = system(z1, z2)
-        det = j11 * j22 - j12 * j21
-        with np.errstate(all="ignore"):
-            s1 = (-g1 * j22 + g2 * j12) / det
-            s2 = (-g2 * j11 + g1 * j21) / det
+        s1, s2 = _newton_step(*system(z1, z2))
         n1, n2 = z1 + s1, z2 + s2
         # NaN fails both comparisons, so non-finite points escape too
         finite = (np.abs(n1) <= escape) & (np.abs(n2) <= escape)
         settled = finite & (np.hypot(s1, s2) < 1e-12 * (1.0 + np.hypot(z1, z2)))
-        settled_pts.append(np.column_stack([n1[settled], n2[settled]]))
+        settled_pts.append(n1[settled] + 1j * n2[settled])
         keep = finite & ~settled
         z1, z2 = n1[keep], n2[keep]
-    roots = _collect_roots(f, chart, np.concatenate(settled_pts))
-    roots.sort(key=lambda r: (round(r[0], 9), round(r[1], 9)))
+    # z1 + z2 i sorts by (z1, z2) (np.unique would import numpy.ma); + 0.0: no -0.0 start
+    s = np.sort(np.round(np.concatenate(settled_pts), 9) + 0.0)
+    pts = np.concatenate((s[:1], s[1:][s[1:] != s[:-1]])).view(float).reshape(-1, 2)
+    # G in the chart field's operation order keeps the polish as symmetric as the field;
+    # a singular Jacobian (a start on a multiple root) gives no finite step, and no move
+    for _ in range(_POLISH_STEPS):
+        _, _, *jac = system(pts[:, 0], pts[:, 1])
+        g = _batch_equator_field(f, chart, pts)
+        step = np.column_stack(_newton_step(g[:, 0], g[:, 1], *jac))
+        pts = pts + np.where(np.isfinite(step), step, 0.0)
+    roots = []
+    for z in pts[np.linalg.norm(_batch_equator_field(f, chart, pts), axis=1) < _NEWTON_TOL]:
+        if all(np.linalg.norm(z - r) >= _DEDUPE_RADIUS for r in roots):
+            roots.append(z)
     return roots
 
 

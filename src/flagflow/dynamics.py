@@ -60,6 +60,10 @@ class IntegratorConfig:
             raise ValueError("min_step must be positive and smaller than a finite max_step")
         if not (self.t_end > 0 and math.isfinite(self.t_end)):
             raise ValueError("t_end must be positive and finite")
+        if self.t_end < self.min_step:
+            # no step fits in the run; it would end in a step size collapse at t = 0
+            raise ValueError(f"t_end must be at least min_step {self.min_step:g}, "
+                             f"got {self.t_end:g}")
 
 
 @dataclass

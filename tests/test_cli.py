@@ -166,10 +166,12 @@ class TestInfinityCommand:
             assert e["stability"] in ("attractor", "repeller", "saddle", "nonhyperbolic")
 
     def test_byte_identical_reruns(self, tmp_path):
+        # a rerun, and a run at any grid, writes the bytes of the default census
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run(["infinity", "--out", str(a)])
-        run(["infinity", "--out", str(b)])
-        assert read(a) == read(b)
+        for grid in ("32", "48", "128", "512"):
+            run(["infinity", "--grid", grid, "--out", str(b)])
+            assert read(a) == read(b), grid
 
     def test_grid_validation(self, capsys):
         for grid, code in (("8", 1), ("31", 1), ("513", 1), ("32", 0)):
@@ -473,6 +475,9 @@ class TestInputBoundary:
         (["--format", "csv", "basin", "--line", "2"], 1),
         (["plot", "--format", "csv"], 1),
         (["lyapunov", "--lines", "2", "--renorm-dt", "1e-13", "--t-max", "1e-13"], 1),
+        (["integrate", "--x0", "1,1,1", "--t-end", "1e-13"], 1),
+        (["integrate", "--x0", "1,1,1", "--t-end", "0.1", "--min-step", "0.4"], 1),
+        (["plot", "--t-end", "1e-13"], 1),
     ])
     def test_rejected_input_gives_one_line(self, argv, code):
         proc = run_cli(argv)
@@ -514,8 +519,9 @@ class TestInputBoundary:
         assert proc.stdout == ""
 
 
-# Fuzzing the boundary: every option of a command's table gets a cheap valid
-# value, a hostile token, or (where its default is cheap) nothing at all.
+# Fuzzing the boundary: at most one option of an example gets a hostile token
+# (or, if required, is left out), so every command also runs clean; each other
+# option gets a cheap valid value or (where its default is cheap) nothing at all.
 HOSTILE = st.sampled_from(["nan", "inf", "-1", "0", "1e300", "abc", ""])
 
 
@@ -544,7 +550,8 @@ CHEAP = {
     "abs_tol": _reals(1e-13, 1e-6),
     "max_step": _reals(0.05, 1.0),
     "min_step": _reals(1e-12, 1e-6),
-    "blow_up_radius": _reals(1.0, 1e6),
+    # beyond every cheap x0, so a clean ambient run does not stop at t = 0
+    "blow_up_radius": _reals(10.0, 1e6),
     "grid": st.integers(32, 48).map(str),
     "lines": _subset(["1", "2", "3", "4"], 2),
     "charts": _subset(["1", "2", "3"], 2),
@@ -562,19 +569,22 @@ COSTLY_DEFAULT = {"t_end", "t_max", "samples"}
 FUZZED_GLOBALS = {k: v for k, v in cli._GLOBALS.items() if k != "out"}
 
 
-def _fuzz_args(draw, table, cheap):
+def _fuzz_args(draw, table, cheap, hostile):
     argv = []
     segment = 0.1  # the default renorm_dt, unless a valid one is drawn
-    for key, (_, _, kwargs) in table.items():
+    for key, (_, default, kwargs) in table.items():
         flag = "--" + key.replace("_", "-")
         if kwargs.get("action") == "store_true":
             argv += [flag] if draw(st.booleans()) else []
             continue
-        pick = draw(st.integers(0, 9))  # 8 hostile, 9 omitted, else valid
-        if pick == 9 and key not in COSTLY_DEFAULT:
-            continue
-        if pick == 8:
+        required = default is cli._REQUIRED
+        if key == hostile:
+            # leaving a required option out is hostile too
+            if required and draw(st.booleans()):
+                continue
             values = [draw(HOSTILE)]
+        elif not required and key not in COSTLY_DEFAULT and draw(st.booleans()):
+            continue
         elif kwargs.get("action") == "append":
             values = draw(st.lists(cheap[key], min_size=1, max_size=2))
         else:
@@ -602,8 +612,11 @@ class TestFuzzedBoundary:
         writable = [f for f in cli._COMMANDS[name].formats if f in ("csv", "json")]
         table = {k: v for k, v in FUZZED_GLOBALS.items() if k != "format" or writable}
         cheap = {**CHEAP, "format": st.sampled_from(writable or ["csv"])}
-        globals_ = _fuzz_args(data.draw, table, cheap)
-        options = _fuzz_args(data.draw, cli._COMMANDS[name].options, cheap)
+        valued = [k for k, (_, _, kwargs) in {**table, **cli._COMMANDS[name].options}.items()
+                  if kwargs.get("action") != "store_true"]
+        hostile = data.draw(st.none() | st.sampled_from(valued))
+        globals_ = _fuzz_args(data.draw, table, cheap, hostile)
+        options = _fuzz_args(data.draw, cli._COMMANDS[name].options, cheap, hostile)
         argv = (globals_ + [name] if data.draw(st.booleans()) else [name] + globals_) + options
         out, err = io.StringIO(), io.StringIO()
         # a numpy warning would print lines of its own next to the exit line

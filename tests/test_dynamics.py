@@ -42,6 +42,8 @@ class TestIntegratorConfig:
             IntegratorConfig(min_step=1.0, max_step=0.5)
         with pytest.raises(ValueError):
             IntegratorConfig(t_end=0.0)
+        with pytest.raises(ValueError, match="t_end must be at least min_step"):
+            IntegratorConfig(t_end=0.1, min_step=0.4)
 
     @pytest.mark.parametrize("name", ["t_end", "max_step", "rel_tol", "abs_tol"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
@@ -347,7 +349,7 @@ class TestLyapunovSpectrum:
     def test_rejects_a_segment_shorter_than_min_step(self):
         # no segment below min_step can hold a step; it used to end in nan
         # exponents with t_used 0, and a segment of exactly min_step runs
-        cfg = IntegratorConfig(t_end=1e-13)
+        cfg = IntegratorConfig(t_end=1e-12)
         with pytest.raises(ValueError, match="at least the integrator's min_step"):
             lyapunov_spectrum(decay_field, (1.0, 0.0, 0.0), cfg, 1e-13,
                               jacobian=lambda x: -np.eye(3))
