@@ -6,9 +6,9 @@
 # re-orthonormalizing it on a fixed cadence (the Benettin procedure)
 # estimates the Lyapunov exponents of that trajectory.
 #
-# Takes about 8 seconds (8.1-8.8 s over two runs on an otherwise idle
-# shared 2-vCPU Xeon, 11-14 s while other jobs ran): the running averages
-# settle at the 1e-3 level only after a few hundred time units.
+# Takes about 6 seconds (5.7-6.5 s over two runs on a shared 2-vCPU Xeon,
+# 8-12 s while other jobs ran): the running averages settle at the 1e-3
+# level only after a few hundred time units.
 
 from flagflow import lyapunov_exponent_table
 

@@ -79,14 +79,14 @@ class PolyField3:
 
     Every component must be homogeneous of exactly degree ``degree``; the
     chart formulas rely on P(t*x) = t^d * P(x).  A single point reaches
-    ``func`` and ``jac`` as a tuple of three Python floats, for example
-    ``(1.0, z1, z2)`` in chart 1: ``func`` returns any sequence of three
-    floats and ``jac`` three rows of three, and the chart formulas unpack
-    them (a tuple answer, as ``poly_rhs`` and ``poly_jacobian`` give,
+    ``func`` as a tuple of three Python floats, for example ``(1.0, z1,
+    z2)`` in chart 1, and ``func`` returns any sequence of three floats,
+    which the chart field unpacks (a tuple answer, as ``poly_rhs`` gives,
     costs no array round trip).  ``func`` must also accept an (N, 3) float
     array of points, evaluated row by row into an (N, 3) float ndarray: the
     census reads P's monomial coefficients off its values at integer points
-    and takes the residual of its root polish.  ``jac`` gets single points only.
+    and takes the residual of its root polish.  ``jac`` gets one point as a
+    float ndarray of shape (3,) and returns the (3, 3) ndarray J(w).
     """
 
     func: Callable
@@ -234,26 +234,20 @@ def compactified_jacobian(f: PolyField3, chart: int, z) -> np.ndarray:
     With w the chart point of the ambient space, the first two components
     depend on (z1, z2) through P(w) and its Jacobian, and only the last
     component depends on z3; the entries are exact down to the equator.
-    Only ``f.jac`` is evaluated: Euler's identity J(w) w = d P(w) for a
-    field homogeneous of degree d gives the slot value P_slot(w).
+    Only ``f.jac`` is evaluated, once, at w as a float ndarray: Euler's
+    identity J(w) w = d P(w) for a field homogeneous of degree d gives the
+    slot value P_slot(w).
     """
-    z1, z2, z3 = _z_floats(z)
-    if chart.__class__ is not int or not 1 <= chart <= 3:
-        chart = _chart_number(chart)
-    # J(w) unpacked by chart: xy is the entry in row x, column y, with x and
-    # y among (s)lot, a and b; the slot-a and slot-b entries go unused
-    if chart == 1:
-        (ss, sa, sb), (_, aa, ab), (_, ba, bb) = f.jac((1.0, z1, z2))
-    elif chart == 2:
-        (aa, _, ab), (sa, ss, sb), (ba, _, bb) = f.jac((z1, 1.0, z2))
-    else:
-        (aa, ab, _), (ba, bb, _), (sa, sb, ss) = f.jac((z1, z2, 1.0))
-    qs = (ss + z1 * sa + z2 * sb) / f.degree
-    # a flat list converts faster than nested rows
+    slot, a, b = _chart_idx(chart)
+    z1, z2, z3 = (float(v) for v in z)
+    # rows and columns of J(w) taken as (s)lot, a and b
+    jw = f.jac(_chart_w(chart, z1, z2)).tolist()
+    js, ja, jb = jw[slot], jw[a], jw[b]
+    qs = (js[slot] + z1 * js[a] + z2 * js[b]) / f.degree
     return np.array([
-        -qs - z1 * sa + aa, -z1 * sb + ab, 0.0,
-        -z2 * sa + ba, -qs - z2 * sb + bb, 0.0,
-        -z3 * sa, -z3 * sb, -qs,
+        -qs - z1 * js[a] + ja[a], -z1 * js[b] + ja[b], 0.0,
+        -z2 * js[a] + jb[a], -qs - z2 * js[b] + jb[b], 0.0,
+        -z3 * js[a], -z3 * js[b], -qs,
     ]).reshape(3, 3)
 
 

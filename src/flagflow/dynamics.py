@@ -249,13 +249,16 @@ def ricci_field(x: np.ndarray) -> np.ndarray:
     """Raw Ricci flow velocity l' = -2 r(l) as an unchecked formula.
 
     Unlike :func:`flagflow.model.flow_rhs` this performs no domain
-    validation; outside the open first octant it returns inf/nan, which the
-    step controller treats as a rejected step.  That lets the integrator
-    degrade gracefully (step_size_collapse) at the finite-time collapse.
+    validation; outside the open first octant it returns nan (the formula
+    alone is finite past a vanishing scale), which the step controller
+    treats as a rejected step.  That lets the integrator degrade gracefully
+    (step_size_collapse) at the finite-time collapse.
     ``x`` is a float ndarray, as the integrators pass it.
     """
-    # numpy scalars, so a zero component divides to inf instead of raising
+    # numpy scalars, so a product that underflows to 0 divides to inf instead of raising
     a, b, c = x
+    if not (a > 0.0 and b > 0.0 and c > 0.0):
+        return np.full(3, np.nan)
     return np.array([
         -2.0 * _ricci_component(a, b, c),
         -2.0 * _ricci_component(b, a, c),

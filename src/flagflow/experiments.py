@@ -329,18 +329,29 @@ class LyapunovTable:
 
 
 def _held_on_ray(field: cpt.PolyField3, chart: int, z0):
-    """The chart field along the invariant ray through z0: (0, 0, -P_slot(w0) z3).
+    """The row's linear system on the invariant ray through z0: (held field, held Jacobian).
 
     The chart field's first two components do not depend on z3 and vanish
     exactly on the ray, but in floats they leave a rounding residue of up
     to 3.6e-15 there; steps long enough to turn it into a change of
     (z1, z2) would carry the base off its ray.  Set to 0.0, they keep
-    (z1, z2) at z0's, so the third component is the chart field's at
-    (z0[0], z0[1], z3), linear in z3, bit for bit.  The tangent flow keeps
-    the full Jacobian.
+    (z1, z2) at z0's, so the held field is the chart field's third
+    component at (z0[0], z0[1], z3), linear in z3, bit for bit.  On that
+    base the chart Jacobian is fixed but for entries [2, 0] and [2, 1], z3
+    times constants: the held Jacobian evaluates it once and rescales those
+    two in place, equal bit for bit to ``compactified_jacobian`` at (z0[0],
+    z0[1], z3).  It is valid only on the held base and returns one reused array.
     """
-    rate = float(cpt.compactified_field_array(field, chart, (z0[0], z0[1], 1.0))[2])
-    return lambda z: np.array([0.0, 0.0, rate * z[2]])
+    z = (z0[0], z0[1], 1.0)
+    rate = float(cpt.compactified_field_array(field, chart, z)[2])
+    jac = cpt.compactified_jacobian(field, chart, z)
+    unit_row, row = jac[2, :2].copy(), jac[2, :2]
+
+    def jacobian(z: np.ndarray) -> np.ndarray:
+        np.multiply(unit_row, z.item(2), out=row)
+        return jac
+
+    return (lambda z: np.array([0.0, 0.0, rate * z[2]])), jacobian
 
 
 def lyapunov_exponent_table(lines: Sequence[int] = (1, 2, 3, 4),
@@ -352,7 +363,7 @@ def lyapunov_exponent_table(lines: Sequence[int] = (1, 2, 3, 4),
     The base trajectory starts at the chart image of the ambient point at
     radius 2 on the ray (outside the numerically unstable ball around the
     origin) and follows the compactified field of the chart, held on the ray
-    (:func:`_held_on_ray`), with the analytic chart Jacobian driving the
+    with its analytic chart Jacobian (:func:`_held_on_ray`), which drives the
     tangent flow.
     Non-convergent rows (including base trajectories that leave the chart)
     are reported with their partial averages and ``converged=False``.
@@ -367,9 +378,9 @@ def lyapunov_exponent_table(lines: Sequence[int] = (1, 2, 3, 4),
         y = cpt.sphere_from_ambient(x0)
         for chart in charts:
             z0 = cpt.chart_coords(y, chart)
-            spec = lyapunov_spectrum(
-                _held_on_ray(field, chart, z0), z0, base_cfg, renorm_dt,
-                jacobian=functools.partial(cpt.compactified_jacobian, field, chart))
+            held_field, held_jacobian = _held_on_ray(field, chart, z0)
+            spec = lyapunov_spectrum(held_field, z0, base_cfg, renorm_dt,
+                                     jacobian=held_jacobian)
             rows.append(LyapunovTableRow(
                 line=line,
                 chart=chart,

@@ -177,27 +177,15 @@ def poly_rhs(x):
     )
 
 
-def poly_jacobian(x):
-    """Analytic 3x3 Jacobian of :func:`poly_rhs` at a point.
+def poly_jacobian(x) -> np.ndarray:
+    """Analytic 3x3 Jacobian of :func:`poly_rhs`.
 
-    A tuple (a, b, c) gives three rows of three Python floats; any other
-    3-vector gives a (3, 3) float ndarray, and an (..., 3) array gives
-    (..., 3, 3), with the same operations.
+    Any 3-vector (a tuple, list or array of numbers) gives a C-contiguous
+    (3, 3) float ndarray, and an (..., 3) array gives (..., 3, 3): one
+    path with the same operations for every input, so a single point's
+    bytes equal its row of a batch.
     """
-    if x.__class__ is tuple:
-        a, b, c = x
-        if a.__class__ is not float or b.__class__ is not float or c.__class__ is not float:
-            a, b, c = float(a), float(b), float(c)
-        # the batched entries below, same operation order
-        a2, b2, c2 = 2.0 * a, 2.0 * b, 2.0 * c
-        a6, b6, c6 = 6.0 * a, 6.0 * b, 6.0 * c
-        return ((a2, c6 - b2, b6 - c2),
-                (c6 - a2, b2, a6 - c2),
-                (b6 - a2, a6 - b2, c2))
-    if x.__class__ is not np.ndarray or x.dtype is not _F64:
-        x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return np.array(poly_jacobian(tuple(x.tolist())))
+    x = np.asarray(x, dtype=float)
     a, b, c = np.moveaxis(x, -1, 0)
     a2, b2, c2 = 2.0 * a, 2.0 * b, 2.0 * c
     a6, b6, c6 = 6.0 * a, 6.0 * b, 6.0 * c

@@ -625,10 +625,13 @@ class TestFuzzedBoundary:
             warnings.simplefilter("error", RuntimeWarning)
             code = run(argv)
         assert code in (0, 1, 2, 3), argv
-        if code == 0:
-            # float repr and JSON spellings; the SVG prose says "at infinity"
+        if code in (0, 2):
+            # float repr and JSON spellings; the SVG prose says "at infinity".
+            # An exit-2 run (no convergence, a blow-up) still prints its rows
             assert not re.search(r"(?<![A-Za-z])(nan|NaN|-?inf|-?Infinity)(?![A-Za-z])",
                                  out.getvalue()), argv
+        if code == 2:
+            assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), argv
         if code == 1:
             assert out.getvalue() == "", argv
             assert err.getvalue().startswith("flagflow: error: "), argv

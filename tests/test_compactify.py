@@ -295,7 +295,7 @@ def _slot_index_field(f, chart, z):
 
 
 def _slot_index_jacobian(f, chart, z):
-    """Copy of the slot-index chart Jacobian that the per-chart dispatch replaced."""
+    """Reference copy of the slot-index chart Jacobian, from the ndarray point."""
     z1, z2, z3 = np.asarray(z, dtype=float).tolist()
     slot, a, b = _SLOT_INDEX[chart]
     w = [z1, z2]
@@ -311,8 +311,9 @@ def _slot_index_jacobian(f, chart, z):
 
 
 class TestChartDispatch:
-    # each chart unpacks P(w) and J(w) in its own branch; the slot-index
-    # formula is the reference, bit for bit, for every degree and input form
+    # the chart field unpacks P(w) in one branch per chart, and the chart
+    # Jacobian reads J(w) through the slot indices; the slot-index formulas
+    # are the reference, bit for bit, for every degree and input form
 
     @pytest.mark.parametrize("degree", [1, 2, 3])
     @pytest.mark.parametrize("chart", [1, 2, 3])
@@ -345,21 +346,21 @@ class TestChartDispatch:
 
 
 class TestTuplePointContract:
-    # the chart formulas hand f.func and f.jac a tuple point and unpack any
-    # sequence they return, so a field that answers in ndarrays gives the
-    # same bytes as the model field, which answers tuples
+    # the chart field hands f.func a tuple point and unpacks any sequence it
+    # returns, and the chart Jacobian hands f.jac a float ndarray point, so a
+    # field that answers in ndarrays gives the same bytes as the model field
 
     @pytest.mark.parametrize("chart", [1, 2, 3])
     def test_tuple_and_array_fields_give_identical_bytes(self, field, chart):
-        seen = []
+        seen_func, seen_jac = [], []
 
         def func(x):
-            seen.append(x)
+            seen_func.append(x)
             return np.array(poly_rhs(x))
 
         def jac(x):
-            seen.append(x)
-            return np.array(poly_jacobian(x))
+            seen_jac.append(x)
+            return poly_jacobian(x)
 
         wrapped = PolyField3(func=func, jac=jac, degree=2)
         rng = np.random.default_rng(80 + chart)
@@ -372,9 +373,11 @@ class TestTuplePointContract:
                 compactified_field_array(wrapped, chart, zi).tobytes()
             assert compactified_jacobian(field, chart, zi).tobytes() == \
                 compactified_jacobian(wrapped, chart, zi).tobytes()
-        assert len(seen) == 2 * len(z)
+        assert len(seen_func) == len(seen_jac) == len(z)
         assert all(type(x) is tuple and len(x) == 3 and all(type(v) is float for v in x)
-                   for x in seen)
+                   for x in seen_func)
+        assert all(type(x) is np.ndarray and x.shape == (3,) and x.dtype == np.float64
+                   for x in seen_jac)
 
 
 _Z = (0.3, -0.4, 0.5)

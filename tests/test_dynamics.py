@@ -64,6 +64,12 @@ class TestRicciField:
             v = ricci_field(np.array([0.0, 1.0, 1.0]))
         assert not np.all(np.isfinite(v))
 
+    @pytest.mark.parametrize("x", [(-1e-300, 1.0, 1.0), (1.0, -2.0, 0.5), (1.0, 1.0, -0.0),
+                                   (math.nan, 1.0, 1.0)])
+    def test_nan_outside_the_open_octant(self, x):
+        # the formula alone is finite at a negative scale; the field is not
+        assert np.isnan(ricci_field(np.array(x))).all()
+
 
 class TestIntegrate:
     def test_exponential_decay(self):
@@ -136,6 +142,17 @@ class TestEvents:
         assert tr.termination == "step_size_collapse"
         assert np.all(np.isfinite(tr.states))
         assert tr.final_time == pytest.approx(0.2, abs=1e-4)
+
+    def test_vanishing_scale_collapses_at_the_octant_boundary(self):
+        # l12 reaches 0 near t = 0.0424; with a field finite past it the run
+        # slid along l12 = 0 in steps near 1e-9, over 100,000 steps per 2e-4
+        cfg = IntegratorConfig(rel_tol=3.152323847723391e-05, abs_tol=4.2603866043764936e-07,
+                               max_step=0.4808156148935485, t_end=0.23926636692005357)
+        tr = integrate_with_events(
+            ricci_field, (0.19134484575581673, 1.6991373226669069, 0.4946219303797521), cfg)
+        assert tr.termination == "step_size_collapse"
+        assert tr.work["accepted"] < 100 and np.all(tr.states > 0.0)
+        assert tr.final_time == pytest.approx(0.0424, abs=1e-3)
 
     def test_step_that_does_not_advance_t_collapses(self):
         # near the metric flow's collapse at t = 0.7637 the controller, allowed

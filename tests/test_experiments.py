@@ -283,34 +283,77 @@ class TestLyapunovTable:
         assert row.t_used == pytest.approx(t_max, rel=1e-12)
 
     @staticmethod
-    def _line_run(line, held, rel_tol, t_max):
-        # the table's chart-1 run of one line, its base field held on the ray or not
+    def _z0(line, chart):
+        # the chart image of the table's base point on the ray
+        return compactify.chart_coords(
+            compactify.sphere_from_ambient(experiments._BASE_RADIUS * line_direction(line)),
+            chart)
+
+    @staticmethod
+    def _line_run(line, chart, held, rel_tol, t_max):
+        # the table's run of one row: held on the ray (field and Jacobian from
+        # _held_on_ray), or the plain chart field with the per-point Jacobian
         f = compactify.model_poly_field()
-        z0 = compactify.chart_coords(
-            compactify.sphere_from_ambient(experiments._BASE_RADIUS * line_direction(line)), 1)
-        field = (experiments._held_on_ray(f, 1, z0) if held
-                 else functools.partial(compactify.compactified_field_array, f, 1))
+        z0 = TestLyapunovTable._z0(line, chart)
+        if held:
+            field, jacobian = experiments._held_on_ray(f, chart, z0)
+        else:
+            field = functools.partial(compactify.compactified_field_array, f, chart)
+            jacobian = functools.partial(compactify.compactified_jacobian, f, chart)
         cfg = dataclasses.replace(experiments._LYAPUNOV_CFG, rel_tol=rel_tol, t_end=t_max)
-        return lyapunov_spectrum(field, z0, cfg, 0.1,
-                                 jacobian=functools.partial(compactify.compactified_jacobian, f, 1))
+        return lyapunov_spectrum(field, z0, cfg, 0.1, jacobian=jacobian)
+
+    @pytest.mark.parametrize("chart", [1, 2, 3])
+    @pytest.mark.parametrize("line", [1, 2, 3, 4])
+    def test_held_jacobian_equals_the_chart_jacobian_bit_for_bit(self, line, chart):
+        # the held Jacobian rescales the two z3 entries of one evaluation; at
+        # every z3 a run visits, and at a few far ones, that is the chart
+        # Jacobian at (z0[0], z0[1], z3), in one array rewritten by each call
+        f = compactify.model_poly_field()
+        z0 = self._z0(line, chart)
+        field, held = experiments._held_on_ray(f, chart, z0)
+        returned, wrong = [], []
+
+        def checked(z):
+            got = held(z)
+            want = compactify.compactified_jacobian(f, chart, (z0[0], z0[1], z[2]))
+            if z[:2].tobytes() != z0[:2].tobytes() or got.tobytes() != want.tobytes():
+                wrong.append(z.tolist())
+            returned.append(got)
+            return got
+
+        cfg = dataclasses.replace(experiments._LYAPUNOV_CFG, t_end=2.0)
+        lyapunov_spectrum(field, z0, cfg, 0.1, jacobian=checked)
+        assert len(returned) > 100 and wrong == []
+        assert all(j is returned[0] for j in returned)
+        for z3 in (0.0, -0.0, -1.0, 5e-324, 1e300):
+            z = np.array([z0[0], z0[1], z3])
+            assert held(z).tobytes() == compactify.compactified_jacobian(f, chart, z).tobytes()
 
     def test_held_rows_equal_the_plain_field_bit_for_bit(self):
         # at the table's tolerance no step is long enough for the rounding
-        # residue of (z1, z2) on a ray to move them, so holding changes no bit
-        t = lyapunov_exponent_table(t_max=5.0)
+        # residue of (z1, z2) on a ray to move them, so holding the field and
+        # the Jacobian changes no bit, in any chart
+        rel_tol = experiments._LYAPUNOV_CFG.rel_tol
+        t = lyapunov_exponent_table(charts=(1, 2, 3), t_max=5.0)
         for line in (1, 2, 3, 4):
-            row = t.row(line, 1)
-            spec = self._line_run(line, False, experiments._LYAPUNOV_CFG.rel_tol, 5.0)
-            assert row.exponents == tuple(spec.exponents.tolist())
-            assert (row.t_used, row.converged, row.work) == (spec.t_used, spec.converged, spec.work)
+            for chart in (1, 2, 3):
+                row = t.row(line, chart)
+                held = self._line_run(line, chart, True, rel_tol, 5.0)
+                plain = self._line_run(line, chart, False, rel_tol, 5.0)
+                assert row.exponents == tuple(plain.exponents.tolist())
+                assert (row.t_used, row.converged, row.work) == \
+                    (plain.t_used, plain.converged, plain.work)
+                assert [(s, a.tolist()) for s, a in held.history] == \
+                    [(s, a.tolist()) for s, a in plain.history]
 
     def test_held_saddle_row_stays_on_its_ray_at_a_loose_tolerance(self):
         # at rtol 1e-4 the steps reach 0.1 and the plain base leaves ray 4 for
         # the diagonal's basin; held, it keeps the saddle's unstable exponent
         # 6 sqrt2 - 4 = 4.485
-        held = self._line_run(4, True, 1e-4, 20.0)
+        held = self._line_run(4, 1, True, 1e-4, 20.0)
         assert held.exponents[0] == pytest.approx(6.0 * math.sqrt(2.0) - 4.0, abs=0.05)
-        assert self._line_run(4, False, 1e-4, 20.0).exponents[0] < 0.0
+        assert self._line_run(4, 1, False, 1e-4, 20.0).exponents[0] < 0.0
 
     def test_row_lookup(self, table):
         with pytest.raises(KeyError):

@@ -204,31 +204,27 @@ class TestPolyJacobian:
         assert poly_jacobian((0.0, 0.0, 0.0)) == pytest.approx(np.zeros((3, 3)), abs=0)
 
     def test_single_point_equals_batched_row_bitwise(self):
-        # the one-point branch builds the entries from Python floats, the
-        # batched one from arrays; both must round alike at any magnitude
+        # one ndarray path serves every input: a tuple, list or 1-D point
+        # gives a C-contiguous (3, 3) array with the bytes of its batched row
         rng = np.random.default_rng(140)
         pts = rng.choice([-1.0, 1.0], size=(400, 3)) * 10.0 ** rng.uniform(-150, 150, (400, 3))
         pts[:20] = rng.uniform(-3.0, 3.0, (20, 3))
         batched = poly_jacobian(pts)
         assert batched.shape == (400, 3, 3)
         for x, row in zip(pts, batched):
-            for single in (poly_jacobian(x), poly_jacobian(x.tolist())):
+            for single in (poly_jacobian(x), poly_jacobian(x.tolist()),
+                           poly_jacobian(tuple(x.tolist()))):
+                assert type(single) is np.ndarray and single.dtype == np.float64
                 assert single.shape == (3, 3) and single.flags.c_contiguous
                 assert single.tobytes() == row.tobytes()
-            rows = poly_jacobian(tuple(x.tolist()))
-            assert type(rows) is tuple and all(type(r) is tuple for r in rows)
-            assert all(type(v) is float for r in rows for v in r)
-            assert np.array(rows).tobytes() == row.tobytes()
 
     @pytest.mark.parametrize("x", [(1, -2, 3), [0, 0, 7], np.array([4, 5, -6]),
                                    (2**53 + 1, 3, 5)])
     def test_single_point_accepts_ints(self, x):
+        # integer points convert as a float batch would, tuples included
         expected = poly_jacobian(np.array([x], dtype=float))[0]
         got = poly_jacobian(x)
-        if isinstance(x, tuple):
-            # a tuple point gives three rows of Python floats
-            assert all(type(v) is float for row in got for v in row)
-            got = np.array(got)
+        assert type(got) is np.ndarray and got.shape == (3, 3) and got.flags.c_contiguous
         assert got.tobytes() == expected.tobytes()
 
     def test_matches_finite_differences(self):

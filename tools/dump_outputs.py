@@ -5,7 +5,10 @@
 For each workload of ``bench/workloads.py``, the commands of
 ``workloads.commands(workload, N)`` run in order, each in a fresh
 ``python3 -m flagflow.cli`` process with this tree's ``src`` on PYTHONPATH
-and ``DIR/<workload>`` as working directory.  The output files stay there;
+and ``DIR/<workload>`` as working directory.  The ``EXTRA`` commands, which
+the benchmark never runs (every Lyapunov row in every chart, both ambient
+systems, a compactified run, the Ricci components and a grid-32 census),
+run the same way in ``DIR/extra``.  The output files stay there;
 ``<out>.exit`` and ``<out>.stderr`` next to each hold the command's exit code
 and its stderr.  ``diff -r`` of two dumps made from two trees with the same
 seed shows whether any output changed.  Nothing under ``bench/`` is written.
@@ -26,22 +29,39 @@ sys.dont_write_bytecode = True  # leave no __pycache__ under bench/
 import workloads  # noqa: E402
 
 
-def dump(out_dir: pathlib.Path, seed: int) -> None:
+# (arguments, output file) of the commands dumped into DIR/extra
+EXTRA = (
+    (["lyapunov", "--lines", "1,2,3,4", "--charts", "1,2,3", "--t-max", "30"], "lyapunov.csv"),
+    (["integrate", "--compactified", "--x0", "1.2,1.2,1.2", "--t-end", "20"],
+     "integrate_compactified.csv"),
+    (["integrate", "--system", "ricci", "--x0", "1,2,3", "--t-end", "1"], "integrate_ricci.csv"),
+    (["ricci", "--metric", "1,2,1"], "ricci.csv"),
+    (["infinity", "--grid", "32"], "infinity32.json"),
+)
+
+
+def _run_all(work: pathlib.Path, commands) -> None:
+    """Run each (argv, out) in ``work``, which must not exist yet."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    work.mkdir(parents=True, exist_ok=False)
+    for argv, out in commands:
+        proc = subprocess.run([sys.executable, "-m", "flagflow.cli", *argv],
+                              cwd=work, env=env, capture_output=True, text=True)
+        (work / f"{out}.exit").write_text(f"{proc.returncode}\n")
+        (work / f"{out}.stderr").write_text(proc.stderr)
+
+
+def dump(out_dir: pathlib.Path, seed: int) -> None:
     for workload in workloads.WORKLOADS:
-        work = out_dir / workload
-        work.mkdir(parents=True, exist_ok=False)
-        for command in workloads.commands(workload, seed):
-            proc = subprocess.run([sys.executable, "-m", "flagflow.cli", *command.argv],
-                                  cwd=work, env=env, capture_output=True, text=True)
-            (work / f"{command.out}.exit").write_text(f"{proc.returncode}\n")
-            (work / f"{command.out}.stderr").write_text(proc.stderr)
+        _run_all(out_dir / workload,
+                 [(c.argv, c.out) for c in workloads.commands(workload, seed)])
+    _run_all(out_dir / "extra", [(argv + ["--out", out], out) for argv, out in EXTRA])
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("dir", type=pathlib.Path,
-                        help="dump directory; its workload folders must not exist yet")
+                        help="dump directory; its workload and extra folders must not exist yet")
     parser.add_argument("--seed", type=int, required=True)
     args = parser.parse_args(argv)
     dump(args.dir, args.seed)
