@@ -6,9 +6,9 @@
 # re-orthonormalizing it on a fixed cadence (the Benettin procedure)
 # estimates the Lyapunov exponents of that trajectory.
 #
-# Takes about 6 seconds (5.7-6.5 s over two runs on a shared 2-vCPU Xeon,
-# 8-12 s while other jobs ran): the running averages settle at the 1e-3
-# level only after a few hundred time units.
+# Takes about 3 seconds (2.4-3.4 s over four runs on a shared 2-vCPU Xeon;
+# 6.2-8.8 s in the same sitting at the earlier rel_tol of 1e-7): the running
+# averages settle at the 1e-3 level only after a few hundred time units.
 
 from flagflow import lyapunov_exponent_table
 

@@ -186,7 +186,8 @@ class _Stepper:
         Returns (t_old, y_old, f_old, t_new, y_new, f_new).  The step that
         lands on t_limit may be cut short, so h after it is the larger of the
         proposals before and after it.  Raises _StepCollapse when the
-        controller drives h below min_step or the resolution of t.
+        controller drives h below min_step or the resolution of t, or when
+        ``work``, the run's counters, holds ``MAX_TAKEN_STEPS`` trial steps.
         """
         cfg = self.cfg
         func = self.func
@@ -194,6 +195,9 @@ class _Stepper:
         work = self.work
         h_start = self.h
         while True:
+            if work["accepted"] + work["rejected"] >= MAX_TAKEN_STEPS:
+                raise _StepCollapse(f"the run took its step budget of MAX_TAKEN_STEPS = "
+                                    f"{MAX_TAKEN_STEPS} steps by t={self.t:.6g}")
             h = min(self.h, t_limit - self.t)
             if h < cfg.min_step:
                 raise _StepCollapse(f"step size {h:.3e} fell below min_step at t={self.t:.6g}")
@@ -280,7 +284,9 @@ def integrate_with_events(field, x0, cfg: IntegratorConfig, *,
     when any of them is not finite, so ``field`` must return inf/nan, not
     raise, where it is undefined.
     At most ``MAX_PLANNED_STEPS`` steps of ``cfg.max_step`` may fit in
-    ``cfg.t_end``.
+    ``cfg.t_end``, and the run takes at most ``MAX_TAKEN_STEPS`` trial
+    steps, accepted and rejected: the next one ends it as
+    ``step_size_collapse`` with a note that names the budget.
     """
     if blow_up_radius is not None and not (math.isfinite(blow_up_radius) and blow_up_radius > 0):
         raise ValueError("blow_up_radius must be positive and finite")
@@ -333,6 +339,10 @@ def _bisect_blow_up(t0, y0, f0, t1, y1, f1, radius):
 # and for a Lyapunov spectrum its renormalisation segments times the
 # max-length steps in each.  Every config in the package plans at most 5,000.
 MAX_PLANNED_STEPS = 100_000
+# trial steps, accepted and rejected, one run may take: a run that settles at
+# tiny steps ends as step_size_collapse here instead of running for hours.
+# The compactified run from (1.2, 1.2, 1.2) to t = 140 takes 6,077.
+MAX_TAKEN_STEPS = 1_000_000
 
 
 def _check_planned_steps(steps: float, what: str) -> None:
@@ -370,8 +380,9 @@ def integrate_compactified(f: cpt.PolyField3, x0, cfg: IntegratorConfig, *,
     its center, whose limit is then that center, reported as
     ``Trajectory.limit`` and named in ``Trajectory.note``.  ``targets``
     (ball points) stop the run once two consecutive ball points, the start
-    included, lie within ``STOP_RADIUS`` of the same target.  The step cap
-    is that of :func:`integrate_with_events`.  A start whose coordinates
+    included, lie within ``STOP_RADIUS`` of the same target.  The step caps
+    are those of :func:`integrate_with_events`, the budget of taken steps
+    counted over every chart of the run.  A start whose coordinates
     are all within about 1e-12 of zero lies in no affine chart and raises
     ValueError.
 
@@ -545,13 +556,15 @@ def lyapunov_spectrum(field, x0, cfg: IntegratorConfig, renorm_dt: float, *,
     a relative 1e-9); segment k ends at t = (k + 1) * renorm_dt, the time
     ``history`` (averages in frame order) and ``t_used`` report.  The
     segments, each of at least one step and of steps no longer than
-    ``cfg.max_step``, may plan at most ``MAX_PLANNED_STEPS`` steps.  One
-    stepper runs them all, restarting at each renormalised state.  The
+    ``cfg.max_step``, may plan at most ``MAX_PLANNED_STEPS`` steps and take
+    at most ``MAX_TAKEN_STEPS``, accepted and rejected, over all segments.
+    One stepper runs them all, restarting at each renormalised state.  The
     state needs at least three components.
 
     If the base trajectory diverges (leaves the sup-norm ball of radius
-    1e3, or collapses the step size) before convergence, the partial
-    averages are returned with ``converged=False``.
+    1e3, collapses the step size or uses up the step budget) before
+    convergence, the averages over the whole segments done are returned
+    with ``converged=False``.
     """
     if not (math.isfinite(renorm_dt) and renorm_dt >= cfg.min_step):
         raise ValueError(f"renorm_dt must be finite and at least the integrator's min_step "

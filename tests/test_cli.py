@@ -4,6 +4,7 @@ import json
 import os
 import pathlib
 import re
+import signal
 import subprocess
 import sys
 import warnings
@@ -11,7 +12,7 @@ import xml.dom.minidom
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, example, given, settings
 from hypothesis import strategies as st
 
 from flagflow import cli, experiments
@@ -597,33 +598,113 @@ def _fuzz_args(draw, table, cheap, hostile):
     return argv
 
 
+@st.composite
+def _fuzzed_argv(draw):
+    name = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    # a valid --format is one the command writes; plot takes none at all
+    writable = [f for f in cli._COMMANDS[name].formats if f in ("csv", "json")]
+    table = {k: v for k, v in FUZZED_GLOBALS.items() if k != "format" or writable}
+    cheap = {**CHEAP, "format": st.sampled_from(writable or ["csv"])}
+    valued = [k for k, (_, _, kwargs) in {**table, **cli._COMMANDS[name].options}.items()
+              if kwargs.get("action") != "store_true"]
+    hostile = draw(st.none() | st.sampled_from(valued))
+    globals_ = _fuzz_args(draw, table, cheap, hostile)
+    options = _fuzz_args(draw, cli._COMMANDS[name].options, cheap, hostile)
+    return (globals_ + [name] if draw(st.booleans()) else [name] + globals_) + options
+
+
+# commands that once ended in a traceback, a silent nan, a wrong exit or no
+# exit at all; the derandomized draws come from a seed hashed from the test's
+# source, so an edit of the test replaces them all, but these rows stay
+FOUND_HOSTILE = [
+    ["lyapunov", "--lines", "4", "--t-max", "1e12"],
+    ["lyapunov", "--lines", "2", "--renorm-dt", "7", "--t-max", "12"],
+    ["lyapunov", "--lines", "2", "--renorm-dt", "1000", "--t-max", "1"],
+    ["lyapunov", "--lines", "2", "--renorm-dt", "1e-13", "--t-max", "1e-13"],
+    ["lyapunov", "--lines", "2,2"],
+    ["lyapunov", "--line", "2", "--t-max", "1", "--renorm-dt", "0.5", "--char", "1"],
+    ["integrate", "--x0", "1,1,1", "--rel-tol", "inf", "--t-end", "0.1"],
+    ["integrate", "--x0", "1,1,1", "--t-end", "0.1", "--blow-up-radius", "nan"],
+    ["integrate", "--x0", "1,1,1", "--t-end", "0.1", "--blow-up-radius", "-1"],
+    ["integrate", "--compactified", "--x0", "1,1,1", "--t-end", "0.1",
+     "--blow-up-radius", "1"],
+    ["integrate", "--x0", "1,1,1", "--t-end", "1e-13"],
+    ["integrate", "--x0", "1e200,1e200,1e200", "--t-end", "1"],
+    ["integrate", "--system", "poly", "--x0=-1,-1,-1", "--t-end", "1e300"],
+    ["integrate", "--compactified", "--x0", "1e-12,1e-12,1e-12"],
+    ["integrate", "--system", "ricci", "--x0",
+     "0.19134484575581673,1.6991373226669069,0.4946219303797521",
+     "--t-end", "0.23926636692005357", "--rel-tol", "3.152323847723391e-05",
+     "--abs-tol", "4.2603866043764936e-07", "--max-step", "0.4808156148935485"],
+    ["integrate", "--system", "ricci", "--x0", "1,2,3", "--t-end", "1",
+     "--max-step", "1e-3", "--min-step", "1e-20"],
+    ["integrate", "--system", "ricci", "--x0",
+     "1.0,3.2805363771257723e-37,4.421297738297319e-134", "--t-end", "1"],
+    ["ricci", "--metric", "1e300,1e300,1e-30"],
+    ["ricci", "--metric", "1e200,1e200,1e200"],
+    ["ricci", "--metric", "0,1,1"],
+    ["--seed", "3", "basin", "--line", "2", "--samples", "2"],
+    ["basin", "--line", "2", "--samples", "2", "--delta", "1e300"],
+    ["basin", "--line", "2", "--samples", "10001"],
+    ["infinity", "--grid", "100000000"],
+    ["infinity", "--seed-box", "1e300"],
+    ["verify", "--checks", "no-equilibria", "--scan-resolution", "10000000"],
+    ["verify", "--lines", "--tangency-tol", "1e9", "--checks", "einstein",
+     "--einstein-tol", "1e300"],
+    ["verify", "--checks", "reparam", "--seed", "-1"],
+    ["plot", "--t-end", "1e-13"],
+    ["plot", "--x0", "0,0,0"],
+    ["plot", "--x0", "1e-13,1e-13,1e-13"],
+]
+
+# wall-clock limit of one fuzzed command; every draw and example ends within
+# 2 s on a 2-vCPU Xeon, so only a run that does not end meets it
+FUZZ_SECONDS = 20
+
+
+class _CommandTimeout(BaseException):
+    # a BaseException, so that no ``except Exception`` on the way out of run() takes it
+    pass
+
+
+def _raise_timeout(signum, frame):
+    raise _CommandTimeout
+
+
+def _with_examples(test):
+    for argv in FOUND_HOSTILE:
+        test = example(argv=argv)(test)
+    return test
+
+
 class TestFuzzedBoundary:
     def test_every_option_has_a_cheap_value(self):
         for command in cli._COMMANDS.values():
             for key, (_, _, kwargs) in {**FUZZED_GLOBALS, **command.options}.items():
                 assert key in CHEAP or kwargs.get("action") == "store_true", key
 
+    # no shrinking: a command that hangs would be rerun for every shrink step,
+    # and the failure message already names the whole argv
     @settings(max_examples=200, deadline=None, derandomize=True, database=None,
+              phases=(Phase.explicit, Phase.generate),
               suppress_health_check=[HealthCheck.too_slow])
-    @given(st.data())
-    def test_fuzzed_options_end_in_a_documented_exit(self, data):
-        name = data.draw(st.sampled_from(sorted(cli._COMMANDS)))
-        # a valid --format is one the command writes; plot takes none at all
-        writable = [f for f in cli._COMMANDS[name].formats if f in ("csv", "json")]
-        table = {k: v for k, v in FUZZED_GLOBALS.items() if k != "format" or writable}
-        cheap = {**CHEAP, "format": st.sampled_from(writable or ["csv"])}
-        valued = [k for k, (_, _, kwargs) in {**table, **cli._COMMANDS[name].options}.items()
-                  if kwargs.get("action") != "store_true"]
-        hostile = data.draw(st.none() | st.sampled_from(valued))
-        globals_ = _fuzz_args(data.draw, table, cheap, hostile)
-        options = _fuzz_args(data.draw, cli._COMMANDS[name].options, cheap, hostile)
-        argv = (globals_ + [name] if data.draw(st.booleans()) else [name] + globals_) + options
+    @given(argv=_fuzzed_argv())
+    @_with_examples
+    def test_fuzzed_options_end_in_a_documented_exit(self, argv):
         out, err = io.StringIO(), io.StringIO()
+        previous = signal.signal(signal.SIGALRM, _raise_timeout)
+        signal.setitimer(signal.ITIMER_REAL, FUZZ_SECONDS)
         # a numpy warning would print lines of its own next to the exit line
-        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
-                contextlib.redirect_stderr(err):
-            warnings.simplefilter("error", RuntimeWarning)
-            code = run(argv)
+        try:
+            with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                warnings.simplefilter("error", RuntimeWarning)
+                code = run(argv)
+        except _CommandTimeout:
+            pytest.fail(f"no exit within {FUZZ_SECONDS} s: {argv}")
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
         assert code in (0, 1, 2, 3), argv
         if code in (0, 2):
             # float repr and JSON spellings; the SVG prose says "at infinity".

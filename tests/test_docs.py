@@ -1,7 +1,7 @@
 """The demos and the README's examples use only flagflow names and flags that exist.
 
 Running the demos would take too long for the test suite (the Lyapunov demo
-alone runs for about 11 seconds), so each script is parsed instead.
+alone runs for about 3 seconds), so each script is parsed instead.
 Every name imported from a flagflow module must resolve, every attribute
 read off an imported flagflow module must exist, and every keyword argument
 passed to a flagflow function must be one of its parameters.  The README's

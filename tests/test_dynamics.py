@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -126,6 +127,66 @@ class TestStepCap:
         cfg = IntegratorConfig(max_step=0.5, t_end=0.5 * MAX_PLANNED_STEPS * 1.01)
         with pytest.raises(ValueError):
             integrate(field, (-1.0, -1.0, -1.0), cfg)
+
+
+def _taken(work):
+    return work["accepted"] + work["rejected"]
+
+
+class TestStepBudget:
+    # MAX_TAKEN_STEPS bounds the trial steps a run takes, accepted and
+    # rejected; it is patched low here, so each run meets it in well under 1 s
+
+    @pytest.mark.parametrize("field", [lambda x: -np.cbrt(x), lambda x: -np.sign(x)],
+                             ids=["cbrt", "sign"])
+    def test_ends_a_run_that_settles_at_tiny_steps(self, monkeypatch, field):
+        # each plans 6 steps to t = 3, but settles at steps near 1e-7 (cbrt)
+        # and 4e-11 (sign) where a component reaches 0; unbudgeted, both ran
+        # past 30 s
+        monkeypatch.setattr(dynamics, "MAX_TAKEN_STEPS", 2000)
+        calls = itertools.count(1)
+
+        def capped(x):
+            # a run the budget does not end fails here instead of running on
+            if next(calls) > 100_000:
+                raise RuntimeError("the step budget did not end the run")
+            return field(x)
+        tr = integrate_with_events(capped, [1.0, 0.5, 0.25], IntegratorConfig(t_end=3.0))
+        assert tr.termination == "step_size_collapse"
+        assert _taken(tr.work) == 2000 and tr.final_time < 3.0
+        assert "MAX_TAKEN_STEPS = 2000" in tr.note
+
+    @pytest.mark.parametrize("budget, termination", [
+        (6077, "reached_t_end"), (6076, "step_size_collapse")])
+    def test_compactified_budget_counts_every_trial_step(self, monkeypatch, budget,
+                                                         termination):
+        # the run to t = 140 takes 6,077 trial steps, about half of them
+        # rejected at the equator: exactly that many fit the budget
+        monkeypatch.setattr(dynamics, "MAX_TAKEN_STEPS", budget)
+        tr = integrate_compactified(model_poly_field(), (1.2, 1.2, 1.2),
+                                    IntegratorConfig(t_end=140.0))
+        assert tr.termination == termination
+        assert _taken(tr.work) == min(budget, 6077)
+        assert ("MAX_TAKEN_STEPS" in tr.note) == (termination == "step_size_collapse")
+
+    def test_lyapunov_keeps_the_averages_of_its_whole_segments(self, monkeypatch):
+        def run():
+            return lyapunov_spectrum(decay_field, (1.0, 0.5, 0.25),
+                                     IntegratorConfig(t_end=2.0), 0.1,
+                                     jacobian=lambda x: -np.eye(3))
+        full = run()
+        budget = _taken(full.work) // 2
+        monkeypatch.setattr(dynamics, "MAX_TAKEN_STEPS", budget)
+        part = run()
+        assert _taken(part.work) == budget and not part.converged
+        assert part.note.startswith("base trajectory diverged: the run took its step budget")
+        # the budget ends the run inside a segment; the averages stop at the
+        # last whole one, as in the full run
+        k = len(part.history)
+        assert 0 < k < len(full.history) and part.t_used == full.history[k - 1][0]
+        assert [(t, a.tolist()) for t, a in part.history] == \
+            [(t, a.tolist()) for t, a in full.history[:k]]
+        assert part.exponents.tolist() == sorted(full.history[k - 1][1].tolist(), reverse=True)
 
 
 class TestEvents:

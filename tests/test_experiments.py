@@ -347,6 +347,21 @@ class TestLyapunovTable:
                 assert [(s, a.tolist()) for s, a in held.history] == \
                     [(s, a.tolist()) for s, a in plain.history]
 
+    def test_table_tolerance_moves_no_exponent_by_1e_3(self):
+        # the table runs at a looser rel_tol than 1e-7 for a third of the work;
+        # it keeps each row within 1e-3 of the 1e-7 run and, like that run,
+        # within 3.1e-3 of the exact spectrum (the running average's 1/t bias)
+        r2 = math.sqrt(2.0)
+        exact = {1: (16.0 + 4.0 * r2, -4.0 * r2, -(8.0 + 16.0 * r2)), 2: (-5.0, -7.0, -7.0)}
+        table = lyapunov_exponent_table(lines=(1, 2), t_max=300.0)
+        for line, spectrum in exact.items():
+            row = table.row(line, 1)
+            tight = self._line_run(line, 1, True, 1e-7, 300.0)
+            assert row.converged and tight.converged
+            assert row.exponents == pytest.approx(tight.exponents.tolist(), abs=1e-3)
+            assert row.exponents == pytest.approx(spectrum, abs=3.1e-3)
+            assert tight.exponents.tolist() == pytest.approx(spectrum, abs=3.1e-3)
+
     def test_held_saddle_row_stays_on_its_ray_at_a_loose_tolerance(self):
         # at rtol 1e-4 the steps reach 0.1 and the plain base leaves ray 4 for
         # the diagonal's basin; held, it keeps the saddle's unstable exponent

@@ -6,8 +6,9 @@ For each workload of ``bench/workloads.py``, the commands of
 ``workloads.commands(workload, N)`` run in order, each in a fresh
 ``python3 -m flagflow.cli`` process with this tree's ``src`` on PYTHONPATH
 and ``DIR/<workload>`` as working directory.  The ``EXTRA`` commands, which
-the benchmark never runs (every Lyapunov row in every chart, both ambient
-systems, a compactified run, the Ricci components and a grid-32 census),
+the benchmark never runs (every Lyapunov row in every chart to t = 30, the
+default four-row table to t = 500, both ambient systems, a compactified run,
+the Ricci components and a grid-32 census),
 run the same way in ``DIR/extra``.  The output files stay there;
 ``<out>.exit`` and ``<out>.stderr`` next to each hold the command's exit code
 and its stderr.  ``diff -r`` of two dumps made from two trees with the same
@@ -32,6 +33,8 @@ import workloads  # noqa: E402
 # (arguments, output file) of the commands dumped into DIR/extra
 EXTRA = (
     (["lyapunov", "--lines", "1,2,3,4", "--charts", "1,2,3", "--t-max", "30"], "lyapunov.csv"),
+    # the default table: chart 1 to t_max 500, every row a tolerance can move
+    (["lyapunov", "--lines", "1,2,3,4"], "lyapunov_default.csv"),
     (["integrate", "--compactified", "--x0", "1.2,1.2,1.2", "--t-end", "20"],
      "integrate_compactified.csv"),
     (["integrate", "--system", "ricci", "--x0", "1,2,3", "--t-end", "1"], "integrate_ricci.csv"),
