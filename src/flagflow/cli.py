@@ -281,6 +281,10 @@ def _cmd_lyapunov(opts) -> tuple[str, int]:
                                                 t_max=opts["t_max"])
     rows = ["line,chart,lambda1,lambda2,lambda3,t_used,converged"]
     for r in table.rows:
+        # a row that ends inside its first segment has nan exponents and a note
+        if not all(map(math.isfinite, r.exponents)):
+            raise ValueError(f"line {r.line} chart {cpt.CHART_NAMES[r.chart]} has no finite "
+                             f"exponents: {r.note}")
         rows.append(",".join([str(r.line), cpt.CHART_NAMES[r.chart]]
                              + [_fmt(v) for v in r.exponents]
                              + [_fmt(r.t_used), str(r.converged).lower()]))

@@ -292,32 +292,46 @@ def integrate_with_events(field, x0, cfg: IntegratorConfig, *,
         raise ValueError("blow_up_radius must be positive and finite")
     _check_planned_steps(cfg.t_end / cfg.max_step, "t_end / max_step")
     x0 = np.asarray(x0, dtype=float)
-    times = [0.0]
-    states = [x0.copy()]
+    work = _new_work()
+    # a start at or beyond the radius stops before the field is evaluated
+    if blow_up_radius is not None and float(np.max(np.abs(x0))) >= blow_up_radius:
+        return Trajectory(np.zeros(1), x0[None].copy(), "blow_up_event", work=work)
+    # samples go into arrays that double when full; ndarray.resize reallocates
+    # in place where the allocator can (mremap for large blocks), so the old
+    # and new buffers need not coexist.  No view of them is ever taken.
+    times = np.zeros(64)
+    states = np.empty((64,) + x0.shape)
+    states[0] = x0
+    count = 1
+
+    def keep(t: float, y: np.ndarray) -> None:
+        nonlocal count
+        if count == times.size:
+            times.resize(2 * count, refcheck=False)
+            states.resize((2 * count,) + x0.shape, refcheck=False)
+        times[count] = t
+        states[count] = y
+        count += 1
+
     termination = "reached_t_end"
     note = ""
-    work = _new_work()
     # one error state for the run: the stepper expects it (see _Stepper)
     with np.errstate(all="ignore"):
-        # a start at or beyond the radius stops before the field is evaluated
-        if blow_up_radius is not None and float(np.max(np.abs(x0))) >= blow_up_radius:
-            return Trajectory(np.array(times), np.array(states), "blow_up_event", work=work)
         try:
             stepper = _Stepper(field, 0.0, x0, cfg, work)
             while stepper.t < cfg.t_end:
                 t0, y0, f0, t1, y1, f1 = stepper.step(cfg.t_end)
                 if blow_up_radius is not None and float(np.max(np.abs(y1))) >= blow_up_radius:
-                    te, ye = _bisect_blow_up(t0, y0, f0, t1, y1, f1, blow_up_radius)
-                    times.append(te)
-                    states.append(ye)
+                    keep(*_bisect_blow_up(t0, y0, f0, t1, y1, f1, blow_up_radius))
                     termination = "blow_up_event"
                     break
-                times.append(t1)
-                states.append(y1)
+                keep(t1, y1)
         except _StepCollapse as exc:
             termination = "step_size_collapse"
             note = str(exc)
-    return Trajectory(np.array(times), np.array(states), termination, work=work, note=note)
+    times.resize(count, refcheck=False)
+    states.resize((count,) + x0.shape, refcheck=False)
+    return Trajectory(times, states, termination, work=work, note=note)
 
 
 def _bisect_blow_up(t0, y0, f0, t1, y1, f1, radius):

@@ -207,6 +207,20 @@ class TestLyapunovCommand:
     def test_line_validation(self):
         assert run(["lyapunov", "--lines", "5"]) == 1
 
+    @pytest.mark.parametrize("argv, why", [
+        (["--lines", "1", "--renorm-dt", "500"], "repeated rejected steps at t=32.4927"),
+        (["--lines", "2", "--renorm-dt", "250"], "tangent frame degenerated"),
+        (["--lines", "2,1", "--renorm-dt", "500"], "tangent frame degenerated"),
+    ])
+    def test_row_without_finite_exponents_exits_1(self, argv, why):
+        # each row ends inside its first segment, so it averages no segment
+        proc = run_cli(["lyapunov", *argv, "--t-max", "500"])
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        line = argv[1][0]
+        assert proc.stderr == (f"flagflow: error: line {line} chart U1 has no finite "
+                               f"exponents: base trajectory diverged: {why}\n")
+
     @pytest.mark.parametrize("flag, value", [
         ("--renorm-dt", "0"), ("--renorm-dt", "nan"),
         ("--t-max", "-1"), ("--t-max", "nan"), ("--t-max", "inf"),
@@ -263,6 +277,19 @@ class TestBasinCommand:
         record = payload["records"][0]
         assert list(record) == ["index", "start", "end", "termination",
                                 "converged", "max_deviation"]
+
+    def test_basin_process_never_imports_numpy_random(self, tmp_path):
+        # numpy.random loads five extension modules, about 5 MB resident
+        script = ("import sys\n"
+                  "from flagflow.cli import run\n"
+                  f"assert run(['basin', '--line', '1', '--samples', '2', "
+                  f"'--out', {str(tmp_path / 'b.json')!r}]) == 0\n"
+                  "print('numpy.random' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
     def test_byte_identical_for_same_seed(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -622,6 +649,8 @@ FOUND_HOSTILE = [
     ["lyapunov", "--lines", "2", "--renorm-dt", "1000", "--t-max", "1"],
     ["lyapunov", "--lines", "2", "--renorm-dt", "1e-13", "--t-max", "1e-13"],
     ["lyapunov", "--lines", "2,2"],
+    ["lyapunov", "--lines", "1", "--renorm-dt", "500", "--t-max", "500"],
+    ["lyapunov", "--lines", "2", "--renorm-dt", "250", "--t-max", "500"],
     ["lyapunov", "--line", "2", "--t-max", "1", "--renorm-dt", "0.5", "--char", "1"],
     ["integrate", "--x0", "1,1,1", "--rel-tol", "inf", "--t-end", "0.1"],
     ["integrate", "--x0", "1,1,1", "--t-end", "0.1", "--blow-up-radius", "nan"],

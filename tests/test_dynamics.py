@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -155,6 +156,24 @@ class TestStepBudget:
         assert tr.termination == "step_size_collapse"
         assert _taken(tr.work) == 2000 and tr.final_time < 3.0
         assert "MAX_TAKEN_STEPS = 2000" in tr.note
+
+    @pytest.mark.parametrize("budget, kept", [(2000, 1966), (2100, 2066)])
+    def test_stored_states_peak_below_three_times_their_bytes(self, monkeypatch, budget, kept):
+        # the run keeps 1,966 and 2,066 states; the second has just doubled its
+        # arrays to 4,096 rows, the worst case of a growing buffer.  One
+        # ndarray per state in a list peaked near 10x
+        monkeypatch.setattr(dynamics, "MAX_TAKEN_STEPS", budget)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            tr = integrate_with_events(lambda x: -np.cbrt(x), [1.0, 0.5, 0.25],
+                                       IntegratorConfig(t_end=3.0))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert tr.states.shape == (kept, 3) and tr.times.shape == (kept,)
+        assert peak <= 3 * tr.states.nbytes
 
     @pytest.mark.parametrize("budget, termination", [
         (6077, "reached_t_end"), (6076, "step_size_collapse")])

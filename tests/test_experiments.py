@@ -169,6 +169,50 @@ class TestCylinderBasin:
         c = cylinder_basin(2, 0.05, 0.6, 8, 12).to_dict()
         assert a != c
 
+    @pytest.mark.parametrize("line, delta, seed", [(1, 0.6, 0), (2, 4.9, 2**64 + 3),
+                                                   (3, 0.5, 2**32), (4, 1.7, 123)])
+    def test_launch_points_are_those_of_default_rng(self, line, delta, seed):
+        # each launch point as numpy.random.default_rng draws it
+        d, e1, e2 = experiments._tube_frame(line)
+        r_lo = delta / math.sqrt(1.0 + delta * delta)
+        rep = cylinder_basin(line, 0.05, delta, 3, seed)
+        for idx, r in enumerate(rep.records):
+            rng = np.random.default_rng([seed, line, idx])
+            height = rng.uniform(r_lo, 0.98)
+            angle = rng.uniform(0.0, 2.0 * math.pi)
+            u0 = height * d + 0.05 * (math.cos(angle) * e1 + math.sin(angle) * e2)
+            assert r.start == tuple(float(v) for v in u0)
+
+
+class TestRngDoubles:
+    """``_rng_doubles`` against ``numpy.random.default_rng``, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3])
+    def test_basin_draws_match_default_rng(self, seed):
+        # idx 0..9,999 (the sample cap) on lines 1-4 in turn, over the
+        # height bands of delta 0.5 to 4.9 and the angle range
+        r_hi, angle_hi = 0.98, 2.0 * math.pi
+        for idx in range(experiments.MAX_BASIN_SAMPLES):
+            line = idx % 4 + 1
+            delta = 0.5 + 4.4 * (idx % 7) / 6
+            r_lo = delta / math.sqrt(1.0 + delta * delta)
+            draws = experiments._rng_doubles((seed, line, idx))
+            rng = np.random.default_rng([seed, line, idx])
+            assert r_lo + (r_hi - r_lo) * next(draws) == rng.uniform(r_lo, r_hi), idx
+            assert angle_hi * next(draws) == rng.uniform(0.0, angle_hi), idx
+
+    def test_int_seed_stream_matches_default_rng(self):
+        draws = experiments._rng_doubles((12345,))
+        ours = np.array([next(draws) for _ in range(3000)])
+        assert ours.tobytes() == np.random.default_rng(12345).random(3000).tobytes()
+
+    def test_entropy_words_match_seed_sequence(self):
+        # 2^200 + 5 is seven 32-bit words, so the pool takes words past the fourth
+        for entropy in ([], [0], [2**200 + 5, 3, 2**70], [1, 2, 3, 4, 5, 6]):
+            draws = experiments._rng_doubles(entropy)
+            ours = np.array([next(draws) for _ in range(50)])
+            assert ours.tobytes() == np.random.default_rng(entropy).random(50).tobytes()
+
 
 @pytest.fixture(scope="module")
 def certified_and_plain():

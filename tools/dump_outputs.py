@@ -12,7 +12,9 @@ the Ricci components and a grid-32 census),
 run the same way in ``DIR/extra``.  The output files stay there;
 ``<out>.exit`` and ``<out>.stderr`` next to each hold the command's exit code
 and its stderr.  ``diff -r`` of two dumps made from two trees with the same
-seed shows whether any output changed.  Nothing under ``bench/`` is written.
+seed shows whether any output changed.  Each command's peak resident set
+size goes to stdout only, so that a dump holds outputs alone.  Nothing
+under ``bench/`` is written.
 """
 
 from __future__ import annotations
@@ -44,14 +46,20 @@ EXTRA = (
 
 
 def _run_all(work: pathlib.Path, commands) -> None:
-    """Run each (argv, out) in ``work``, which must not exist yet."""
+    """Run each (argv, out) in ``work``, which must not exist yet; print each peak RSS."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     work.mkdir(parents=True, exist_ok=False)
     for argv, out in commands:
-        proc = subprocess.run([sys.executable, "-m", "flagflow.cli", *argv],
-                              cwd=work, env=env, capture_output=True, text=True)
+        with open(work / f"{out}.stderr", "wb") as err:
+            proc = subprocess.Popen([sys.executable, "-m", "flagflow.cli", *argv],
+                                    cwd=work, env=env, stdout=subprocess.DEVNULL, stderr=err)
+        # wait4 reaps this child alone and returns its own rusage (ru_maxrss
+        # in KiB on Linux); proc is told the exit code, so it waits no more
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
         (work / f"{out}.exit").write_text(f"{proc.returncode}\n")
-        (work / f"{out}.stderr").write_text(proc.stderr)
+        print(f"{work.name}/{out}: exit {proc.returncode}, "
+              f"peak RSS {usage.ru_maxrss / 1024:.1f} MB", flush=True)
 
 
 def dump(out_dir: pathlib.Path, seed: int) -> None:
