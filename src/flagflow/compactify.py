@@ -282,9 +282,6 @@ class InfinityEquilibrium:
     stability: str  # attractor | repeller | saddle | nonhyperbolic
     first_octant: bool
 
-    def residual(self, f: PolyField3) -> float:
-        return float(np.linalg.norm(compactified_field_array(f, self.chart, self.z)[:2]))
-
 
 def _batch_equator_field(f: PolyField3, chart: int, pts: np.ndarray) -> np.ndarray:
     """Equator system at many (z1, z2) points at once."""

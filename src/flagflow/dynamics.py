@@ -20,13 +20,14 @@ All routines are deterministic for fixed inputs and configuration.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field as dataclass_field
 from typing import Sequence
 
 import numpy as np
 
 from . import compactify as cpt
-from .model import _ricci_component, line_direction
+from .model import flow_rhs, line_direction
 
 __all__ = [
     "IntegratorConfig",
@@ -249,25 +250,18 @@ def _new_work() -> dict:
             "h_min": math.inf, "h_max": 0.0}
 
 
-def ricci_field(x: np.ndarray) -> np.ndarray:
-    """Raw Ricci flow velocity l' = -2 r(l) as an unchecked formula.
+def ricci_field(x) -> np.ndarray:
+    """Ricci flow velocity :func:`flagflow.model.flow_rhs`, nan where it is undefined.
 
-    Unlike :func:`flagflow.model.flow_rhs` this performs no domain
-    validation; outside the open first octant it returns nan (the formula
-    alone is finite past a vanishing scale), which the step controller
-    treats as a rejected step.  That lets the integrator degrade gracefully
-    (step_size_collapse) at the finite-time collapse.
-    ``x`` is a float ndarray, as the integrators pass it.
+    Outside the open first octant, and at a non-finite entry, ``flow_rhs``
+    raises ValueError; this returns nan there instead, which the step
+    controller treats as a rejected step.  That lets the integrator degrade
+    gracefully (step_size_collapse) at the finite-time collapse.
     """
-    # numpy scalars, so a product that underflows to 0 divides to inf instead of raising
-    a, b, c = x
-    if not (a > 0.0 and b > 0.0 and c > 0.0):
+    try:
+        return flow_rhs(x)
+    except ValueError:
         return np.full(3, np.nan)
-    return np.array([
-        -2.0 * _ricci_component(a, b, c),
-        -2.0 * _ricci_component(b, a, c),
-        -2.0 * _ricci_component(c, a, b),
-    ])
 
 
 def integrate_with_events(field, x0, cfg: IntegratorConfig, *,
@@ -296,23 +290,9 @@ def integrate_with_events(field, x0, cfg: IntegratorConfig, *,
     # a start at or beyond the radius stops before the field is evaluated
     if blow_up_radius is not None and float(np.max(np.abs(x0))) >= blow_up_radius:
         return Trajectory(np.zeros(1), x0[None].copy(), "blow_up_event", work=work)
-    # samples go into arrays that double when full; ndarray.resize reallocates
-    # in place where the allocator can (mremap for large blocks), so the old
-    # and new buffers need not coexist.  No view of them is ever taken.
-    times = np.zeros(64)
-    states = np.empty((64,) + x0.shape)
-    states[0] = x0
-    count = 1
-
-    def keep(t: float, y: np.ndarray) -> None:
-        nonlocal count
-        if count == times.size:
-            times.resize(2 * count, refcheck=False)
-            states.resize((2 * count,) + x0.shape, refcheck=False)
-        times[count] = t
-        states[count] = y
-        count += 1
-
+    # one flat record of rows (t, state) that grows in place and is read
+    # back once, without a copy
+    record = array("d", [0.0, *x0.ravel().tolist()])
     termination = "reached_t_end"
     note = ""
     # one error state for the run: the stepper expects it (see _Stepper)
@@ -322,16 +302,16 @@ def integrate_with_events(field, x0, cfg: IntegratorConfig, *,
             while stepper.t < cfg.t_end:
                 t0, y0, f0, t1, y1, f1 = stepper.step(cfg.t_end)
                 if blow_up_radius is not None and float(np.max(np.abs(y1))) >= blow_up_radius:
-                    keep(*_bisect_blow_up(t0, y0, f0, t1, y1, f1, blow_up_radius))
+                    te, ye = _bisect_blow_up(t0, y0, f0, t1, y1, f1, blow_up_radius)
+                    record.extend((te, *ye.tolist()))
                     termination = "blow_up_event"
                     break
-                keep(t1, y1)
+                record.extend((t1, *y1.tolist()))
         except _StepCollapse as exc:
             termination = "step_size_collapse"
             note = str(exc)
-    times.resize(count, refcheck=False)
-    states.resize((count,) + x0.shape, refcheck=False)
-    return Trajectory(times, states, termination, work=work, note=note)
+    rows = np.frombuffer(record).reshape(-1, 1 + x0.size)
+    return Trajectory(rows[:, 0], rows[:, 1:], termination, work=work, note=note)
 
 
 def _bisect_blow_up(t0, y0, f0, t1, y1, f1, radius):
@@ -417,11 +397,11 @@ def integrate_compactified(f: cpt.PolyField3, x0, cfg: IntegratorConfig, *,
                          "so no affine chart covers it") from None
     # ball coordinates of the northern-hemisphere point a chart state tracks
     u = cpt.ball_from_chart(chart, z)
-
-    times = [0.0]
-    chart_ids = [chart]
-    chart_states = [z]
-    ball_states = [(-u if z[2] < 0 else u).tolist()]
+    p0, p1, p2 = (-u if z[2] < 0 else u).tolist()
+    # one flat record of rows (t, ball point, chart state) that grows in
+    # place and is read back once, without a copy
+    record = array("d", [0.0, p0, p1, p2, *z.tolist()])
+    first_chart = chart
     chart_log: list[tuple[float, int, int]] = []
     termination = "reached_t_end"
     note = ""
@@ -437,7 +417,6 @@ def integrate_compactified(f: cpt.PolyField3, x0, cfg: IntegratorConfig, *,
                   for c in np.asarray(targets, dtype=float).reshape(-1, 3).tolist()]
     # indices of the targets the previous ball point lies near
     was_near = ()
-    p0, p1, p2 = ball_states[0]
     for k, (c0, c1, c2, r2, radius) in enumerate(stops):
         d0, d1, d2 = p0 - c0, p1 - c1, p2 - c2
         if radius is None and d0 * d0 + d1 * d1 + d2 * d2 <= r2:
@@ -474,10 +453,7 @@ def integrate_compactified(f: cpt.PolyField3, x0, cfg: IntegratorConfig, *,
                 if z3 < 0.0:
                     scale = -scale
                 u = p0, p1, p2 = w0 / scale, w1 / scale, w2 / scale
-                times.append(t1)
-                chart_ids.append(chart)
-                chart_states.append(z1)
-                ball_states.append(u)
+                record.extend((t1, p0, p1, p2, a, b, z3))
                 near = ()
                 for k, (c0, c1, c2, r2, radius) in enumerate(stops):
                     d0, d1, d2 = p0 - c0, p1 - c1, p2 - c2
@@ -511,12 +487,16 @@ def integrate_compactified(f: cpt.PolyField3, x0, cfg: IntegratorConfig, *,
             termination = "step_size_collapse"
             note = str(exc)
 
+    rows = np.frombuffer(record).reshape(-1, 7)
+    times = rows[:, 0]
+    # a row's chart is the one the last switch logged before its time moved to
+    charts = np.array([first_chart, *(new for _, _, new in chart_log)])
     return Trajectory(
-        times=np.array(times),
-        states=np.array(ball_states),
+        times=times,
+        states=rows[:, 1:4],
         termination=termination,
-        chart_ids=chart_ids,
-        chart_states=np.array(chart_states),
+        chart_ids=charts[np.searchsorted([t for t, _, _ in chart_log], times)].tolist(),
+        chart_states=rows[:, 4:],
         chart_log=chart_log,
         work=work,
         note=note,
@@ -547,9 +527,6 @@ class LyapunovSpectrum:
 _LYAPUNOV_TOL = 1e-3
 _LYAPUNOV_MIN_TIME = 10.0
 
-# sup-norm radius beyond which the base trajectory counts as diverged
-_DIVERGENCE_GUARD = 1e3
-
 _EYE3 = np.eye(3)
 
 
@@ -575,10 +552,9 @@ def lyapunov_spectrum(field, x0, cfg: IntegratorConfig, renorm_dt: float, *,
     One stepper runs them all, restarting at each renormalised state.  The
     state needs at least three components.
 
-    If the base trajectory diverges (leaves the sup-norm ball of radius
-    1e3, collapses the step size or uses up the step budget) before
-    convergence, the averages over the whole segments done are returned
-    with ``converged=False``.
+    If the base trajectory diverges (collapses the step size or uses up
+    the step budget) before convergence, the averages over the whole
+    segments done are returned with ``converged=False``.
     """
     if not (math.isfinite(renorm_dt) and renorm_dt >= cfg.min_step):
         raise ValueError(f"renorm_dt must be finite and at least the integrator's min_step "
@@ -627,11 +603,6 @@ def lyapunov_spectrum(field, x0, cfg: IntegratorConfig, renorm_dt: float, *,
                 while stepper.t < renorm_dt:
                     stepper.step(renorm_dt)
                 state = stepper.y
-                # an accepted state holds no NaN (np.maximum carries one into
-                # the error norm), so the Python max agrees with np.max
-                if max(map(abs, state[:n].tolist())) > _DIVERGENCE_GUARD:
-                    note = "base trajectory left the divergence guard ball"
-                    break
                 # modified Gram-Schmidt with log-stretch accounting, in place
                 # on the frame rows, which are views of state
                 frame = state[n:].reshape(3, n)

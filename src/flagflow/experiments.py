@@ -489,7 +489,7 @@ def classify_limit(x0) -> LimitClassification:
     its termination reason as the diagnostic.
     """
     m = MetricParams.of(np.asarray(x0, dtype=float))
-    traj, states = run_to_limit(m.as_array())
+    traj, states = run_to_limit(np.array(m, dtype=float))
     u = states[-1]
     direction = u if traj.limit is not None else u / float(np.linalg.norm(u))
     if np.all(direction > 0.0):

@@ -59,9 +59,6 @@ class MetricParams(NamedTuple):
             raise ValueError(f"metric components must be positive reals, got {(a, b, c)}")
         return cls(a, b, c)
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self, dtype=float)
-
 
 class RicciComponents(NamedTuple):
     """Ricci tensor components (r12, r13, r23) in the metric basis."""
@@ -69,9 +66,6 @@ class RicciComponents(NamedTuple):
     r12: float
     r13: float
     r23: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self, dtype=float)
 
 
 def _ricci_component(a, b, c):
@@ -204,8 +198,8 @@ def reparam_check(m) -> float:
     floating-point noise for any valid metric.
     """
     mp = MetricParams.of(m)
-    lhs = poly_rhs(mp.as_array())
-    rhs = 12.0 * mp.l12 * mp.l13 * mp.l23 * ricci_components(mp).as_array()
+    lhs = poly_rhs(np.array(mp, dtype=float))
+    rhs = 12.0 * mp.l12 * mp.l13 * mp.l23 * np.array(ricci_components(mp), dtype=float)
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -265,8 +259,8 @@ def einstein_residual(m) -> tuple[float, float]:
     Einstein metrics.
     """
     mp = MetricParams.of(m)
-    marr = mp.as_array()
-    r = ricci_components(mp).as_array()
+    marr = np.array(mp, dtype=float)
+    r = np.array(ricci_components(mp), dtype=float)
     c = float((r @ marr) / (marr @ marr))
     residual = float(np.max(np.abs(r - c * marr)))
     return c, residual

@@ -434,7 +434,7 @@ class TestEquatorCensus:
 
     def test_residuals_polished(self, census, field):
         for e in census:
-            assert e.residual(field) < 1e-12
+            assert np.linalg.norm(compactified_field_array(field, e.chart, e.z)[:2]) < 1e-12
 
     def test_octant_classification(self, census):
         # the diagonal point attracts; the three ray points are saddles
@@ -627,7 +627,7 @@ class TestNewtonKernel:
         census = find_infinity_equilibria(f)
         assert [e.stability for e in census] == stabilities
         for e in census:
-            assert e.residual(f) < 1e-12
+            assert np.linalg.norm(compactified_field_array(f, e.chart, e.z)[:2]) < 1e-12
 
     def test_double_root_survives_the_polish(self):
         # a Jordan block puts a double root at the chart-2 origin: Newton only
@@ -719,6 +719,18 @@ class TestAttractionCertificate:
                   - _ball_field(field, cert.center - steps)) / (2.0 * h)).T
             mu = -float(np.linalg.eigvalsh(0.5 * (a + a.T))[-1])
             assert mu == pytest.approx(4.04 if e.first_octant else 6.31, abs=5e-3)
+
+    @pytest.mark.parametrize("coupling, certified", [(2.0, True), (10.0, False)])
+    def test_none_where_the_symmetric_part_is_not_negative_definite(self, coupling, certified):
+        # x' = M x with a Jordan block below the dominant rate 3: (1, 0, 0)
+        # attracts at any coupling, but at 10 the symmetric part of the ball
+        # field's linear part has the eigenvalue +3, so no ball is certified
+        m = np.array([[3.0, 0.0, 0.0], [0.0, 1.0, coupling], [0.0, 0.0, 1.0]])
+        f = PolyField3(func=lambda x: np.asarray(x, dtype=float) @ m.T, jac=lambda x: m,
+                       degree=1)
+        (eq,) = [e for e in find_infinity_equilibria(f) if e.stability == "attractor"]
+        assert eq.direction.tolist() == [1.0, 0.0, 0.0]
+        assert (attraction_certificate(f, eq) is not None) == certified
 
     def test_stop_ball_lies_in_the_certified_set(self, certificates):
         for e, cert in certificates:

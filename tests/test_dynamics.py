@@ -55,10 +55,11 @@ class TestIntegratorConfig:
 
 
 class TestRicciField:
-    def test_matches_model_flow_bitwise(self):
+    @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e160, 1e200])
+    def test_matches_model_flow_bitwise(self, scale):
         rng = np.random.default_rng(5)
         for _ in range(100):
-            m = rng.uniform(0.1, 5.0, size=3)
+            m = scale * rng.uniform(0.1, 5.0, size=3)
             assert np.array_equal(ricci_field(m), flow_rhs(m))
 
     def test_outside_octant_gives_nonfinite_without_raising(self):
@@ -67,10 +68,20 @@ class TestRicciField:
         assert not np.all(np.isfinite(v))
 
     @pytest.mark.parametrize("x", [(-1e-300, 1.0, 1.0), (1.0, -2.0, 0.5), (1.0, 1.0, -0.0),
-                                   (math.nan, 1.0, 1.0)])
+                                   (0.0, 1.0, 1.0), (math.nan, 1.0, 1.0),
+                                   (math.inf, 1.0, 1.0), (1.0, 2.0, -math.inf)])
     def test_nan_outside_the_open_octant(self, x):
-        # the formula alone is finite at a negative scale; the field is not
+        # the formula alone is finite at a negative scale and infinite, not
+        # nan, at an infinite one; the field is nan at both
         assert np.isnan(ricci_field(np.array(x))).all()
+
+    @pytest.mark.parametrize("x", [(1e200, 1e200, 1e200), (1e160, 2e160, 1e160),
+                                   (1e-150, 1e-150, 2e-150)])
+    def test_matches_model_flow_bitwise_at_extreme_scales(self, x):
+        # unscaled, the formula's products overflow: it gives -1e-200 per
+        # component at (1e200,)*3, where the flow is -10/12e200 = -8.33e-201,
+        # and r13 at half of r12 = r23 at (1e160, 2e160, 1e160)
+        assert np.array_equal(ricci_field(np.array(x)), flow_rhs(x))
 
 
 class TestIntegrate:
@@ -159,9 +170,8 @@ class TestStepBudget:
 
     @pytest.mark.parametrize("budget, kept", [(2000, 1966), (2100, 2066)])
     def test_stored_states_peak_below_three_times_their_bytes(self, monkeypatch, budget, kept):
-        # the run keeps 1,966 and 2,066 states; the second has just doubled its
-        # arrays to 4,096 rows, the worst case of a growing buffer.  One
-        # ndarray per state in a list peaked near 10x
+        # the run keeps 1,966 and 2,066 states as rows (t, state) of one
+        # growing record.  One ndarray per state in a list peaked near 10x
         monkeypatch.setattr(dynamics, "MAX_TAKEN_STEPS", budget)
         tracemalloc.start()
         try:
@@ -174,6 +184,21 @@ class TestStepBudget:
             tracemalloc.stop()
         assert tr.states.shape == (kept, 3) and tr.times.shape == (kept,)
         assert peak <= 3 * tr.states.nbytes
+
+    def test_compactified_states_peak_below_five_times_their_bytes(self):
+        # one record row per kept point: (t, ball point, chart state).  A
+        # Python list and an ndarray per state peaked at 17x
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            tr = integrate_compactified(model_poly_field(), (1.2, 1.2, 1.2),
+                                        IntegratorConfig(t_end=140.0))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert tr.termination == "reached_t_end" and len(tr.times) > 3000
+        assert peak <= 5 * tr.states.nbytes
 
     @pytest.mark.parametrize("budget, termination", [
         (6077, "reached_t_end"), (6076, "step_size_collapse")])
@@ -233,6 +258,13 @@ class TestEvents:
         assert tr.termination == "step_size_collapse"
         assert tr.work["accepted"] < 100 and np.all(tr.states > 0.0)
         assert tr.final_time == pytest.approx(0.0424, abs=1e-3)
+
+    def test_start_where_the_field_is_not_finite_collapses(self):
+        tr = integrate_with_events(ricci_field, (0.0, 1.0, 1.0), IntegratorConfig(t_end=1.0))
+        assert tr.termination == "step_size_collapse"
+        assert tr.note == "vector field not finite at the initial state"
+        assert tr.times.tolist() == [0.0] and tr.states.tolist() == [[0.0, 1.0, 1.0]]
+        assert tr.work["evaluations"] == 1 and tr.work["accepted"] == 0
 
     def test_step_that_does_not_advance_t_collapses(self):
         # near the metric flow's collapse at t = 0.7637 the controller, allowed
@@ -660,7 +692,7 @@ def _parent_lyapunov_spectrum(field, x0, cfg, renorm_dt, *, jacobian):
             h_carried = max(h_proposed, stepper.h)
             state = stepper.y
             base = state[:n]
-            if float(np.max(np.abs(base))) > dynamics._DIVERGENCE_GUARD:
+            if float(np.max(np.abs(base))) > 1e3:
                 note = "base trajectory left the divergence guard ball"
                 break
             frame = state[n:].reshape(3, n)
